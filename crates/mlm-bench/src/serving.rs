@@ -12,7 +12,8 @@
 
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::GIB;
-use mlm_serve::{heavy_tailed_trace, serve, FleetStats, Policy, ServeConfig, TraceConfig};
+use mlm_fleet::{fleet_serve, FleetConfig, FleetJob};
+use mlm_serve::{heavy_tailed_trace, FleetStats, Policy, TraceConfig};
 
 /// Jobs per trace cell.
 pub const SERVE_JOBS: usize = 600;
@@ -41,7 +42,8 @@ pub struct ServeStudyRow {
     pub stats: FleetStats,
 }
 
-/// Run the full sweep on the paper's KNL 7250 in flat mode.
+/// Run the full sweep on the paper's KNL 7250 in flat mode: each cell is
+/// a fleet of one node serving non-strict jobs.
 pub fn serve_study() -> Result<Vec<ServeStudyRow>, String> {
     let machine = MachineConfig::knl_7250(MemMode::Flat);
     let mut rows = Vec::new();
@@ -56,13 +58,19 @@ pub fn serve_study() -> Result<Vec<ServeStudyRow>, String> {
         tc.interactive_chunk = GIB / 4;
         tc.standard_chunk = GIB / 2;
         tc.batch_chunk = GIB;
-        let trace = heavy_tailed_trace(&tc);
+        let trace: Vec<FleetJob> = heavy_tailed_trace(&tc)
+            .into_iter()
+            .map(|req| FleetJob {
+                req,
+                strict: false,
+                origin: 0,
+            })
+            .collect();
         for &budget_gib in &BUDGETS_GIB {
             for &policy in &Policy::ALL {
-                let mut cfg = ServeConfig::new(machine.clone());
+                let mut cfg = FleetConfig::homogeneous(machine.clone(), 1, budget_gib << 30, false);
                 cfg.policy = policy;
-                cfg.mcdram_budget = budget_gib << 30;
-                let out = serve(&cfg, &trace)?;
+                let out = fleet_serve(&cfg, &trace)?;
                 rows.push(ServeStudyRow {
                     arrival_rate: rate,
                     policy,

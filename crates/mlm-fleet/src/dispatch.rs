@@ -1,9 +1,9 @@
 //! The virtual-time fleet dispatcher: N [`NodeSim`]s behind a placement
 //! layer, with cross-node work stealing.
 //!
-//! Each event time, in this order (a strict superset of the single-node
-//! `serve` loop, so a 1-node fleet with stealing off executes exactly the
-//! same operations as [`mlm_serve::serve`]):
+//! This is the only virtual-time serving loop: single-node serving is a
+//! 1-node fleet, where placement has one candidate and stealing has no
+//! donor. Each event time, in this order:
 //!
 //! 1. **arrivals** — place each due job on a node ([`place`]) or reject
 //!    it when no node could ever fit its ring,

@@ -2,13 +2,19 @@
 //! per-node worker pools over the dataflow stage pools.
 //!
 //! Same placement code, same admission code, real execution: the
-//! dispatcher thread owns every node's [`CapacityBroker`] and ready
-//! queue, places the submission stream with [`place`], admits per node
-//! with the shared [`select_candidate`] pass, and hands admitted jobs to
-//! that node's worker pool, which runs them on
+//! dispatcher thread owns one [`NodeSim`] per node, places the submission
+//! stream with [`place`], admits per node with [`NodeSim::admit`] — the
+//! one admission pass the virtual-time dispatcher runs too — and hands
+//! admitted jobs to that node's worker pool, which runs them on
 //! [`run_host_pipeline_dataflow`] with tuner-sized stage pools. Workers
-//! report completions over a channel; the dispatcher releases the broker
-//! reservation and admits the next job.
+//! report completions over a channel; the dispatcher retires the job
+//! with [`NodeSim::release`] and admits the next one.
+//!
+//! The nodes never see virtual time: every job is submitted with arrival
+//! 0 and admitted at `now = 0`, so fair-share aging (which needs
+//! `now - arrival > fair_aging > 0`) never fires, and the host ignores
+//! the nodes' retune/advance machinery. Each admission's stage pools are
+//! sized for `host_threads / (co-resident jobs + 1)` threads instead.
 //!
 //! **Decision equivalence with the virtual-time mode.** Wall clocks are
 //! not virtual clocks, so the two modes can only be compared on
@@ -19,14 +25,15 @@
 //! with strict jobs, the canonical projection
 //! ([`crate::decision::decision_digest`]) is therefore identical between
 //! the two modes — the equivalence the test suite asserts on the demo
-//! trace. (Fair-share aging and stealing are virtual-time refinements the
-//! host mode does not implement; the wall clock makes their trigger
-//! points nondeterministic.)
+//! trace. (Stealing is a virtual-time refinement the host mode does not
+//! implement; the wall clock makes its trigger points nondeterministic.)
 //!
-//! [`CapacityBroker`]: mlm_serve::CapacityBroker
-//! [`select_candidate`]: mlm_serve::select_candidate
+//! [`NodeSim`]: mlm_serve::NodeSim
+//! [`NodeSim::admit`]: mlm_serve::NodeSim::admit
+//! [`NodeSim::release`]: mlm_serve::NodeSim::release
 //! [`run_host_pipeline_dataflow`]: mlm_core::pipeline::host::run_host_pipeline_dataflow
 
+use std::collections::{HashMap, HashSet};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -34,19 +41,16 @@ use crossbeam::channel;
 use knl_sim::MemLevel;
 use mlm_core::pipeline::host::{run_host_pipeline_dataflow, HostStagePools, KernelCtx};
 use mlm_core::{PipelineSpec, Placement, ThreadSplit};
-use mlm_serve::{
-    charge_credit, predicted_makespan, profile, select_candidate, AdmitOutcome, CapacityBroker,
-    DeadlineClass, JobId, Policy, N_CLASSES,
-};
+use mlm_serve::{profile, DeadlineClass, JobId, JobRequest, NodeSim};
 
 use crate::config::FleetConfig;
 use crate::decision::Decision;
-use crate::placement::{place, PlacementView};
+use crate::placement::place;
 
 /// One host fleet job: spec plus the data to stream through it.
 #[derive(Debug)]
 pub struct FleetHostJob {
-    /// Job identifier.
+    /// Job identifier (unique within a submission batch).
     pub id: JobId,
     /// Latency class (drives fair-share admission).
     pub class: DeadlineClass,
@@ -98,62 +102,15 @@ pub struct FleetHostOutcome {
     pub decisions: Vec<Decision>,
 }
 
-/// The dispatcher's per-node state: broker + queue + credit, the host
-/// mirror of `NodeSim`'s admission-relevant fields.
-struct HostNode {
-    broker: CapacityBroker,
-    spill: bool,
-    machine: knl_sim::machine::MachineConfig,
-    // Parallel vectors over jobs placed on this node.
-    est: Vec<f64>,
-    ids: Vec<JobId>,
-    classes: Vec<DeadlineClass>,
-    spill_ok: Vec<bool>,
-    global: Vec<usize>,
-    ready: Vec<usize>, // node-local indices, placement order
-    credit: [f64; N_CLASSES],
-    running: usize,
-    work_tx: channel::Sender<Work>,
-}
-
-impl PlacementView for HostNode {
-    fn can_take(&self, spec: &PipelineSpec, strict: bool) -> bool {
-        self.broker.can_ever_fit_job(spec, !strict)
-    }
-    fn fits_now(&self, spec: &PipelineSpec, strict: bool) -> bool {
-        let f = crate::placement::ring_footprint(spec);
-        f == 0 || f <= self.broker.hbw_headroom() || (!strict && self.spill)
-    }
-    fn hbw_headroom(&self) -> u64 {
-        self.broker.hbw_headroom()
-    }
-    fn queued_strict_bytes(&self) -> u64 {
-        self.broker.queued_strict_bytes()
-    }
-    fn reserved_mcdram(&self) -> u64 {
-        self.broker.reserved_mcdram()
-    }
-    fn budget(&self) -> u64 {
-        self.broker.budget()
-    }
-}
-
 /// A job handed to a node's worker pool.
 struct Work {
     node: usize,
-    local: usize,
+    id: JobId,
     spec: PipelineSpec,
     split: ThreadSplit,
+    level: MemLevel,
     data: Vec<i64>,
     kernel: fn(&mut [i64], KernelCtx),
-}
-
-/// A completion reported back to the dispatcher.
-struct Done {
-    node: usize,
-    local: usize,
-    wall: Duration,
-    data: Vec<i64>,
 }
 
 /// Serve `jobs` across the fleet, applying `kernel` to every compute
@@ -168,6 +125,7 @@ pub fn fleet_serve_host(
     if cfg.workers == 0 {
         return Err("need at least one worker per node".into());
     }
+    let mut ids = HashSet::new();
     for j in &jobs {
         j.spec
             .validate()
@@ -182,13 +140,24 @@ pub fn fleet_serve_host(
                 j.id, j.spec.total_bytes
             ));
         }
+        if !ids.insert(j.id) {
+            return Err(format!("job {}: duplicate job id", j.id));
+        }
     }
+    let mut nodes: Vec<NodeSim> = cfg
+        .fleet
+        .nodes
+        .iter()
+        .map(|n| {
+            NodeSim::new(n.serve_config(cfg.fleet.policy, cfg.fleet.retune, cfg.fleet.fair_aging))
+        })
+        .collect::<Result<_, _>>()?;
 
     // Per-node worker pools, all reporting into one completion channel.
-    let (done_tx, done_rx) = channel::unbounded::<Done>();
+    let (done_tx, done_rx) = channel::unbounded::<FleetHostResult>();
     let mut worker_handles = Vec::new();
-    let mut nodes: Vec<HostNode> = Vec::with_capacity(cfg.fleet.nodes.len());
-    for nc in &cfg.fleet.nodes {
+    let mut work_txs = Vec::with_capacity(nodes.len());
+    for _ in &nodes {
         let (work_tx, work_rx) = channel::unbounded::<Work>();
         for _ in 0..cfg.workers {
             let rx = work_rx.clone();
@@ -201,91 +170,91 @@ pub fn fleet_serve_host(
                     run_host_pipeline_dataflow(&pools, &w.spec, &w.data, &mut out, w.kernel);
                     // A hung-up dispatcher just means the run already
                     // failed; don't double-panic the worker.
-                    let _ = tx.send(Done {
+                    let _ = tx.send(FleetHostResult {
+                        id: w.id,
                         node: w.node,
-                        local: w.local,
+                        split: w.split,
+                        buffer_level: w.level,
                         wall: t.elapsed(),
                         data: out,
                     });
                 }
             }));
         }
-        nodes.push(HostNode {
-            broker: CapacityBroker::new(&nc.machine, nc.mcdram_budget, nc.spill),
-            spill: nc.spill,
-            machine: nc.machine.clone(),
-            est: Vec::new(),
-            ids: Vec::new(),
-            classes: Vec::new(),
-            spill_ok: Vec::new(),
-            global: Vec::new(),
-            ready: Vec::new(),
-            credit: [0.0; N_CLASSES],
-            running: 0,
-            work_tx,
-        });
+        work_txs.push(work_tx);
     }
     drop(done_tx);
 
     // The dispatcher thread: place the whole submission stream, then
-    // admit/complete until drained.
+    // admit/release until drained.
     let placement = cfg.fleet.placement;
-    let policy = cfg.fleet.policy;
     let host_threads = cfg.host_threads;
     let dispatcher = thread::spawn(move || -> Result<FleetHostOutcome, String> {
         let mut decisions: Vec<Decision> = Vec::new();
         let mut rejected: Vec<JobId> = Vec::new();
-        let mut pending: Vec<Option<FleetHostJob>> = Vec::new();
+        let mut pending: HashMap<JobId, FleetHostJob> = HashMap::new();
 
         // Phase 1: placement, in submission order.
-        for (g, j) in jobs.into_iter().enumerate() {
+        for j in jobs {
             match place(&nodes, placement, &j.spec, j.strict) {
                 Some(n) => {
                     decisions.push(Decision::Placed { job: j.id, node: n });
-                    let node = &mut nodes[n];
-                    let local = node.ids.len();
-                    node.est.push(predicted_makespan(&j.spec, &node.machine));
-                    node.ids.push(j.id);
-                    node.classes.push(j.class);
-                    node.spill_ok.push(!j.strict);
-                    node.global.push(g);
-                    node.ready.push(local);
-                    if j.strict {
-                        node.broker
-                            .note_strict_queued(crate::placement::ring_footprint(&j.spec));
-                    }
+                    let req = JobRequest::new(j.id, 0.0, j.class, j.spec.clone());
+                    let ok = nodes[n].submit(req, j.strict);
+                    debug_assert!(ok, "placement chose an infeasible node");
+                    pending.insert(j.id, j);
                 }
                 None => {
                     decisions.push(Decision::Rejected { job: j.id });
                     rejected.push(j.id);
                 }
             }
-            pending.push(Some(j));
         }
 
         // Phase 2: serve. One admission pass per node, then block on a
         // completion, release, repeat.
         let mut results: Vec<FleetHostResult> = Vec::new();
-        let mut meta: std::collections::HashMap<
-            (usize, usize),
-            (Option<mlm_memkind::Reservation>, ThreadSplit, MemLevel),
-        > = std::collections::HashMap::new();
         loop {
             for (ni, node) in nodes.iter_mut().enumerate() {
-                admit_node(
-                    ni,
-                    node,
-                    policy,
-                    host_threads,
-                    &mut pending,
-                    &mut decisions,
-                    &mut meta,
-                    kernel,
-                )?;
+                let admitted = node.admit(0.0)?;
+                // Co-resident jobs before this pass; each admission in the
+                // pass sees the ones admitted ahead of it.
+                let before = node.running_len() - admitted.len();
+                for (k, adm) in admitted.into_iter().enumerate() {
+                    decisions.push(Decision::Admitted {
+                        job: adm.id,
+                        node: ni,
+                        level: adm.level,
+                    });
+                    let job = pending.remove(&adm.id).expect("admitted job is pending");
+                    let effective =
+                        if adm.level == MemLevel::Ddr && job.spec.placement == Placement::Hbw {
+                            Placement::Ddr
+                        } else {
+                            job.spec.placement
+                        };
+                    let budget = (host_threads / (before + k + 1)).max(3);
+                    let split =
+                        profile(&job.spec, effective, &node.config().machine, budget, true)?.split;
+                    let mut spec = job.spec;
+                    spec.p_in = split.p_in;
+                    spec.p_out = split.p_out;
+                    spec.p_comp = split.p_comp;
+                    work_txs[ni]
+                        .send(Work {
+                            node: ni,
+                            id: adm.id,
+                            spec,
+                            split,
+                            level: adm.level,
+                            data: job.data,
+                            kernel,
+                        })
+                        .map_err(|_| "node worker pool hung up".to_string())?;
+                }
             }
-            let queued: usize = nodes.iter().map(|n| n.ready.len()).sum();
-            let running: usize = nodes.iter().map(|n| n.running).sum();
-            if running == 0 {
+            if nodes.iter().all(|n| n.running_len() == 0) {
+                let queued: usize = nodes.iter().map(|n| n.queue_len()).sum();
                 if queued == 0 {
                     break;
                 }
@@ -296,26 +265,12 @@ pub fn fleet_serve_host(
             let done = done_rx
                 .recv()
                 .map_err(|_| "worker channels closed unexpectedly".to_string())?;
-            let node = &mut nodes[done.node];
-            node.running -= 1;
-            let (reservation, split, level) = meta
-                .remove(&(done.node, done.local))
-                .expect("completion for unknown job");
-            if let Some(res) = &reservation {
-                node.broker.release(res).map_err(|e| e.to_string())?;
-            }
-            results.push(FleetHostResult {
-                id: node.ids[done.local],
-                node: done.node,
-                split,
-                buffer_level: level,
-                wall: done.wall,
-                data: done.data,
-            });
+            nodes[done.node].release(done.id)?;
+            results.push(done);
         }
 
         // Drop the work channels so the pools drain and exit.
-        drop(nodes);
+        drop(work_txs);
         results.sort_by_key(|r| r.id);
         Ok(FleetHostOutcome {
             results,
@@ -333,105 +288,14 @@ pub fn fleet_serve_host(
     outcome
 }
 
-/// One admission pass over `node`'s queue — the host-side twin of
-/// `NodeSim::admit` (same candidate selection, same broker calls, same
-/// credit charge; no backfill aging, which needs virtual time).
-#[allow(clippy::too_many_arguments)]
-fn admit_node(
-    ni: usize,
-    node: &mut HostNode,
-    policy: Policy,
-    host_threads: usize,
-    pending: &mut [Option<FleetHostJob>],
-    decisions: &mut Vec<Decision>,
-    meta: &mut std::collections::HashMap<
-        (usize, usize),
-        (Option<mlm_memkind::Reservation>, ThreadSplit, MemLevel),
-    >,
-    kernel: fn(&mut [i64], KernelCtx),
-) -> Result<(), String> {
-    let mut blocked = [false; N_CLASSES];
-    loop {
-        let pos = select_candidate(
-            policy,
-            &node.ready,
-            &node.est,
-            &node.ids,
-            &node.classes,
-            &node.credit,
-            &blocked,
-        );
-        let Some(pos) = pos else { break };
-        let local = node.ready[pos];
-        let g = node.global[local];
-        let spec = pending[g].as_ref().expect("job not yet run").spec.clone();
-        match node.broker.try_admit_job(&spec, node.spill_ok[local])? {
-            AdmitOutcome::Admitted(reservation) => {
-                node.ready.remove(pos);
-                if !node.spill_ok[local] {
-                    node.broker
-                        .note_strict_dequeued(crate::placement::ring_footprint(&spec));
-                }
-                let level = reservation
-                    .as_ref()
-                    .map(|r| r.level())
-                    .unwrap_or(MemLevel::Ddr);
-                let effective = if level == MemLevel::Ddr && spec.placement == Placement::Hbw {
-                    Placement::Ddr
-                } else {
-                    spec.placement
-                };
-                let budget = (host_threads / (node.running + 1)).max(3);
-                let split = profile(&spec, effective, &node.machine, budget, true)?.split;
-                decisions.push(Decision::Admitted {
-                    job: node.ids[local],
-                    node: ni,
-                    level,
-                });
-                charge_credit(
-                    policy,
-                    &mut node.credit,
-                    node.classes[local],
-                    node.est[local],
-                );
-                meta.insert((ni, local), (reservation, split, level));
-                node.running += 1;
-                let job = pending[g].take().expect("job taken twice");
-                let mut spec2 = job.spec;
-                spec2.p_in = split.p_in;
-                spec2.p_out = split.p_out;
-                spec2.p_comp = split.p_comp;
-                node.work_tx
-                    .send(Work {
-                        node: ni,
-                        local,
-                        spec: spec2,
-                        split,
-                        data: job.data,
-                        kernel,
-                    })
-                    .map_err(|_| "node worker pool hung up".to_string())?;
-            }
-            AdmitOutcome::Busy => match policy {
-                Policy::Fifo | Policy::Sjf => break,
-                Policy::FairShare => {
-                    blocked[node.classes[local].index()] = true;
-                    if blocked.iter().all(|&b| b) {
-                        break;
-                    }
-                }
-            },
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{FleetConfig, PlacementPolicy};
+    use crate::decision::admission_sequence;
     use knl_sim::machine::{MachineConfig, MemMode};
     use mlm_core::Workload;
+    use mlm_serve::Policy;
 
     const MIB: u64 = 1 << 20;
 
@@ -467,6 +331,108 @@ mod tests {
             *x = x.wrapping_mul(3) ^ i as i64;
         }
         data
+    }
+
+    /// A fleet of one node: the single-node host server.
+    fn one_node(policy: Policy, budget: u64) -> FleetHostConfig {
+        let mut fleet =
+            FleetConfig::homogeneous(MachineConfig::knl_7250(MemMode::Flat), 1, budget, false);
+        fleet.policy = policy;
+        FleetHostConfig {
+            fleet,
+            host_threads: 8,
+            workers: 2,
+        }
+    }
+
+    #[test]
+    fn concurrent_serving_preserves_every_output() {
+        let n = (MIB / 8) as usize; // 1 MiB per job
+        let jobs: Vec<FleetHostJob> = (0..4)
+            .map(|i| FleetHostJob {
+                id: i,
+                class: DeadlineClass::ALL[(i % 3) as usize],
+                strict: false,
+                spec: spec(MIB, MIB / 4),
+                data: input(n, i as i64),
+            })
+            .collect();
+        let expected: Vec<Vec<i64>> = (0..4).map(|i| reference(input(n, i))).collect();
+        let out = fleet_serve_host(&one_node(Policy::FairShare, MIB), jobs, kernel).unwrap();
+        assert_eq!(out.results.len(), 4);
+        for (i, r) in out.results.iter().enumerate() {
+            assert_eq!(r.id, i as u64);
+            assert_eq!(r.data, expected[i], "job {i} output corrupted");
+            assert!(r.split.p_comp >= 1);
+        }
+        // 1 MiB budget, 0.75 MiB rings: admission was serialised, and
+        // every job was admitted exactly once.
+        let mut admitted: Vec<JobId> = admission_sequence(&out.decisions, 0)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        admitted.sort_unstable();
+        assert_eq!(admitted, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn sjf_admits_the_short_job_first() {
+        // Budget fits one ring at a time; SJF must pick the small job
+        // even though the big one was submitted first.
+        let small_n = (MIB / 8) as usize;
+        let big_n = (8 * MIB / 8) as usize;
+        let jobs = vec![
+            FleetHostJob {
+                id: 0,
+                class: DeadlineClass::Batch,
+                strict: false,
+                spec: spec(8 * MIB, MIB),
+                data: input(big_n, 0),
+            },
+            FleetHostJob {
+                id: 1,
+                class: DeadlineClass::Interactive,
+                strict: false,
+                spec: spec(MIB, MIB),
+                data: input(small_n, 0),
+            },
+        ];
+        let out = fleet_serve_host(&one_node(Policy::Sjf, 3 * MIB), jobs, kernel).unwrap();
+        let order: Vec<JobId> = admission_sequence(&out.decisions, 0)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(order, vec![1, 0], "short job must be admitted first");
+    }
+
+    #[test]
+    fn oversized_jobs_are_rejected() {
+        let jobs = vec![FleetHostJob {
+            id: 0,
+            class: DeadlineClass::Standard,
+            strict: false,
+            spec: spec(8 * MIB, 4 * MIB), // 12 MiB ring
+            data: input((8 * MIB / 8) as usize, 0),
+        }];
+        let out = fleet_serve_host(&one_node(Policy::Fifo, MIB), jobs, kernel).unwrap();
+        assert_eq!(out.rejected, vec![0]);
+        assert!(out.results.is_empty());
+    }
+
+    #[test]
+    fn duplicate_job_ids_are_an_error() {
+        // Admissions and completions are matched to jobs by id.
+        let jobs: Vec<FleetHostJob> = (0..2)
+            .map(|_| FleetHostJob {
+                id: 5,
+                class: DeadlineClass::Standard,
+                strict: false,
+                spec: spec(MIB, MIB / 4),
+                data: input((MIB / 8) as usize, 0),
+            })
+            .collect();
+        let err = fleet_serve_host(&one_node(Policy::Fifo, MIB), jobs, kernel).unwrap_err();
+        assert!(err.contains("duplicate"), "{err}");
     }
 
     #[test]

@@ -11,18 +11,20 @@
 //!   ride spill-capable, DDR-rich nodes instead. A job no node could ever
 //!   fit is rejected at submission — the fleet mirror of the broker's
 //!   `can_ever_fit`.
-//! * **Per-node serving** — every node runs the exact single-node state
-//!   machine ([`mlm_serve::NodeSim`]), so a 1-node fleet is bit-identical
-//!   to [`mlm_serve::serve`] by construction.
+//! * **Per-node serving** — every node runs the single-node state
+//!   machine ([`mlm_serve::NodeSim`]). Single-node serving is a fleet of
+//!   one: `FleetConfig::homogeneous(machine, 1, budget, spill)` with
+//!   non-strict jobs, where placement and stealing have nothing to decide.
 //! * **Work stealing** ([`dispatch`]) — idle nodes lift queued jobs from
 //!   straggler queues, paying the interconnect price
 //!   ([`mlm_cluster::ClusterConfig`]) to migrate the ring.
-//! * **Two execution modes** — the virtual-time dispatcher
-//!   ([`fleet_serve`]) prices million-job traces deterministically; the
-//!   real-thread host mode ([`fleet_serve_host`]) runs the same
-//!   placement/admission code as a long-running dispatcher thread over
-//!   per-node worker pools. Their decision sequences agree on the
-//!   canonical projection ([`decision::decision_digest`]).
+//! * **Two execution modes, one driver each** — the virtual-time
+//!   dispatcher ([`fleet_serve`]) prices million-job traces
+//!   deterministically; the real-thread host mode ([`fleet_serve_host`])
+//!   runs the same `NodeSim` placement and admission as a long-running
+//!   dispatcher thread over per-node worker pools. Their decision
+//!   sequences agree on the canonical projection
+//!   ([`decision::decision_digest`]).
 //! * **Fleet traces** ([`trace`]) — per-node SplitMix64 streams (stable
 //!   under node-count changes) with arrival skew and a strict-HBW
 //!   fraction, merged into million-job fleet workloads.
@@ -32,6 +34,8 @@ pub mod decision;
 pub mod dispatch;
 pub mod host;
 pub mod placement;
+#[cfg(test)]
+mod sched;
 pub mod trace;
 
 pub use config::{FleetConfig, NodeConfig, PlacementPolicy};

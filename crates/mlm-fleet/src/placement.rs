@@ -2,10 +2,9 @@
 //!
 //! Placement happens once per job, at submission, against a snapshot of
 //! every node's broker state. The policies only read the
-//! [`PlacementView`] trait, which both the virtual-time [`NodeSim`]
-//! wrapper and the host dispatcher's node state implement — so the two
-//! modes run the *same* placement code, which is what makes their decision
-//! sequences comparable at all.
+//! [`PlacementView`] trait, which [`NodeSim`] implements; both serving
+//! modes place over their `NodeSim`s, so they run the *same* placement
+//! code, which is what makes their decision sequences comparable at all.
 //!
 //! [`NodeSim`]: mlm_serve::NodeSim
 

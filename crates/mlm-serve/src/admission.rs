@@ -1,12 +1,11 @@
-//! Policy candidate selection shared by every admission loop.
+//! Policy candidate selection for [`NodeSim::admit`], the one admission
+//! pass every serving driver runs.
 //!
-//! Three schedulers admit jobs in policy order: the virtual-time event
-//! loop ([`crate::sched::serve`]), the real-thread host server
-//! ([`crate::host::serve_host`]), and the fleet dispatcher (`mlm-fleet`).
-//! They differ in *when* admission runs and what happens after it, but the
-//! decision itself — which queued job to try next — must be identical, or
-//! the fleet's 1-node ≡ single-node and host ≡ virtual-time equivalence
-//! guarantees fall apart. This module is that decision, extracted.
+//! The decision — which queued job to try next, and what fair-share
+//! credit an admission costs — lives here, apart from the broker calls
+//! and bookkeeping around it, so it can be tested on plain queues.
+//!
+//! [`NodeSim::admit`]: crate::NodeSim::admit
 
 use crate::job::{DeadlineClass, JobId, N_CLASSES};
 use crate::policy::Policy;
@@ -22,7 +21,7 @@ use crate::policy::Policy;
 ///
 /// `est`, `ids` and `classes` are indexed by job index (the values stored
 /// in `ready`), not by queue position.
-pub fn select_candidate(
+pub(crate) fn select_candidate(
     policy: Policy,
     ready: &[usize],
     est: &[f64],
@@ -71,7 +70,7 @@ pub fn select_candidate(
 /// Fair-share credit charge at admission: the job's service estimate
 /// normalised by its class weight. FIFO/SJF carry no credit state, so
 /// this is a no-op for them.
-pub fn charge_credit(
+pub(crate) fn charge_credit(
     policy: Policy,
     credit: &mut [f64; N_CLASSES],
     class: DeadlineClass,

@@ -1,14 +1,13 @@
 //! Per-node serving state: one broker, one ready queue, one running set.
 //!
-//! [`NodeSim`] is the single-node state machine the virtual-time scheduler
-//! ([`crate::sched::serve`]) drives — and, because a fleet is N of these
-//! behind a placement layer, the exact same state machine `mlm-fleet`'s
-//! dispatcher drives per node. Extracting it means the fleet's "a 1-node
-//! fleet is bit-identical to `serve`" guarantee holds by construction:
-//! both paths execute the same floating-point operations in the same
-//! order on the same state.
+//! [`NodeSim`] is the single-node state machine every serving driver runs.
+//! `mlm-fleet`'s virtual-time dispatcher (`fleet_serve`) drives one per
+//! node behind a placement layer, and single-node serving is simply a
+//! fleet of one. The real-thread host dispatcher (`fleet_serve_host`)
+//! uses the same nodes for placement and admission, so there is exactly
+//! one admission pass ([`NodeSim::admit`]) in the workspace.
 //!
-//! The driver contract, per event time `now` (in this order):
+//! The virtual-time driver contract, per event time `now` (in this order):
 //!
 //! 1. [`NodeSim::submit`] every due arrival (the driver owns arrival
 //!    ordering and rejection records),
@@ -18,8 +17,13 @@
 //! 5. [`NodeSim::retune_and_allocate`] for the new co-residency degree,
 //! 6. pick the next event time (≥ [`NodeSim::next_completion`]),
 //! 7. [`NodeSim::advance`] to it.
+//!
+//! A wall-clock driver has no event times: it submits and admits at
+//! `now = 0`, runs admitted jobs for real, and retires each one with
+//! [`NodeSim::release`] when its worker reports completion.
 
 use knl_sim::bandwidth::{allocate_rates, FlowSpec};
+use knl_sim::machine::MachineConfig;
 use knl_sim::MemLevel;
 use mlm_core::Placement;
 use mlm_memkind::Reservation;
@@ -27,8 +31,35 @@ use mlm_memkind::Reservation;
 use crate::admission::{charge_credit, select_candidate};
 use crate::broker::{AdmitOutcome, CapacityBroker, RING_SLOTS};
 use crate::job::{DeadlineClass, JobId, JobRecord, JobRequest, N_CLASSES};
-use crate::policy::{predicted_makespan, profile, JobProfile};
-use crate::sched::ServeConfig;
+use crate::policy::{predicted_makespan, profile, JobProfile, Policy};
+
+/// Configuration for one serving node (built per node by `mlm-fleet`'s
+/// `NodeConfig::serve_config`).
+#[derive(Debug, Clone)]
+pub struct ServeConfig {
+    /// The node being shared.
+    pub machine: MachineConfig,
+    /// Admission policy.
+    pub policy: Policy,
+    /// MCDRAM bytes the broker may hand out (clamped to addressable).
+    pub mcdram_budget: u64,
+    /// `HBW_PREFERRED` semantics: spill to DDR instead of queueing.
+    pub spill: bool,
+    /// Re-run the Eqs. 1–5 optimiser per job as co-residency changes.
+    /// When off, jobs keep their submitted pool sizes.
+    pub retune: bool,
+    /// Fair-share starvation bound (seconds). A capacity-blocked job
+    /// bypassed for longer than this gets an EASY-backfill reservation:
+    /// the scheduler projects when completions will have freed enough
+    /// MCDRAM for it, and only admits other jobs whose model-predicted
+    /// makespan ends before that point (or that need no MCDRAM). Small
+    /// jobs keep flowing through genuinely spare capacity, but can no
+    /// longer fragment MCDRAM forever and starve big rings. `INFINITY`
+    /// turns it off, and is the usual setting: the reservation costs
+    /// throughput wherever it binds, so it is a worst-case-latency
+    /// guarantee to opt into, not a tail-latency optimisation.
+    pub fair_aging: f64,
+}
 
 /// Resource indices in the job-level bandwidth arbitration.
 const DDR_BUS: usize = 0;
@@ -106,14 +137,14 @@ impl NodeSim {
 
     /// Queue `job` on this node. `strict` pins an HBW job to MCDRAM even
     /// on a spill-capable node (`HBW` vs `HBW_PREFERRED` semantics,
-    /// decided per job by the fleet's placement layer; `serve` passes
-    /// `false` so the node's own spill policy governs).
+    /// decided per job by the fleet's placement layer; with `false` the
+    /// node's own spill policy governs).
     ///
     /// Returns `false` — without queueing — when the job's ring can never
     /// fit this node, so the caller can reject or try another node.
     pub fn submit(&mut self, job: JobRequest, strict: bool) -> bool {
         let spill_ok = !strict;
-        if !self.broker.can_ever_fit_job(&job.spec, spill_ok) {
+        if !self.broker.can_ever_fit(&job.spec, spill_ok) {
             return false;
         }
         let idx = self.jobs.len();
@@ -199,7 +230,7 @@ impl NodeSim {
                     continue;
                 }
             }
-            match self.broker.try_admit_job(&job.spec, self.spill_ok[idx])? {
+            match self.broker.try_admit(&job.spec, self.spill_ok[idx])? {
                 AdmitOutcome::Admitted(reservation) => {
                     self.ready.remove(pos);
                     if !self.spill_ok[idx] {
@@ -243,8 +274,8 @@ impl NodeSim {
                     );
                 }
                 AdmitOutcome::Busy => match self.cfg.policy {
-                    crate::policy::Policy::Fifo | crate::policy::Policy::Sjf => break,
-                    crate::policy::Policy::FairShare => {
+                    Policy::Fifo | Policy::Sjf => break,
+                    Policy::FairShare => {
                         // Starvation aging: the first job bypassed past
                         // the bound gets an EASY-backfill reservation at
                         // its projected fit time, so backfilling can no
@@ -293,6 +324,23 @@ impl NodeSim {
             }
         }
         f64::INFINITY
+    }
+
+    /// Retire running job `id` without a virtual-time completion: return
+    /// its reservation and drop it from the running set, recording
+    /// nothing. Wall-clock drivers call this when the job's worker
+    /// reports that it finished.
+    pub fn release(&mut self, id: JobId) -> Result<(), String> {
+        let pos = self
+            .running
+            .iter()
+            .position(|r| self.ids[r.idx] == id)
+            .ok_or_else(|| format!("job {id} is not running on this node"))?;
+        let r = self.running.swap_remove(pos);
+        if let Some(res) = &r.reservation {
+            self.broker.release(res)?;
+        }
+        Ok(())
     }
 
     /// Nothing queued and nothing running.
@@ -396,7 +444,7 @@ impl NodeSim {
 
     /// Whether `spec` could ever fit this node, given per-job strictness.
     pub fn can_ever_fit(&self, spec: &mlm_core::PipelineSpec, strict: bool) -> bool {
-        self.broker.can_ever_fit_job(spec, !strict)
+        self.broker.can_ever_fit(spec, !strict)
     }
 
     /// Whether `spec` can start *right now*: strict rings need current

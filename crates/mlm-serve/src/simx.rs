@@ -1,6 +1,6 @@
 //! Co-scheduled replay in the op-level simulator.
 //!
-//! The virtual-time scheduler ([`crate::sched::serve`]) decides *when* each
+//! The virtual-time scheduler ([`crate::NodeSim`]) decides *when* each
 //! job starts; this module lowers a realized schedule to one composed
 //! [`knl_sim`] program so the op-level engine can price the co-residency:
 //! each job's pipeline is built with [`mlm_core::pipeline::sim::build_program`]

@@ -942,7 +942,7 @@ impl Lint for FleetPlacementFeasibility {
         }
         let feasible = fleet.nodes.iter().any(|n| {
             CapacityBroker::new(&n.machine, n.mcdram_budget, n.spill)
-                .can_ever_fit_job(t.spec, !fleet.strict)
+                .can_ever_fit(t.spec, !fleet.strict)
         });
         if feasible {
             return;

@@ -14,7 +14,8 @@ use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::GIB;
 use mlm_core::ModelParams;
 use mlm_exec::{PipelineSpec, Placement, Workload};
-use mlm_serve::{serve, DeadlineClass, JobRequest, Policy, ServeConfig};
+use mlm_fleet::{fleet_serve, FleetConfig, FleetJob};
+use mlm_serve::{DeadlineClass, JobRequest, Policy};
 
 /// A chunked MLM-sort job: two compute passes over an MCDRAM buffer ring,
 /// thread pools sized by the paper's Eqs. 1–5 for a dedicated machine.
@@ -72,12 +73,21 @@ fn main() {
         ));
     }
     jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
+    // One node serves the batch: a fleet of one, every job non-strict.
+    let jobs: Vec<FleetJob> = jobs
+        .into_iter()
+        .map(|req| FleetJob {
+            req,
+            strict: false,
+            origin: 0,
+        })
+        .collect();
 
     for policy in [Policy::Fifo, Policy::FairShare] {
-        let mut cfg = ServeConfig::new(machine.clone());
+        // Tight budget: the elephant's ring is 6 GiB.
+        let mut cfg = FleetConfig::homogeneous(machine.clone(), 1, 8 * GIB, false);
         cfg.policy = policy;
-        cfg.mcdram_budget = 8 * GIB; // tight: the elephant's ring is 6 GiB
-        let out = serve(&cfg, &jobs).expect("all demo jobs fit the broker");
+        let out = fleet_serve(&cfg, &jobs).expect("all demo jobs fit the broker");
 
         println!("--- policy: {} (8 GiB MCDRAM budget) ---", policy.label());
         println!(

@@ -1,7 +1,8 @@
-//! Property tests for the fleet dispatcher: a fleet of one is the
-//! single-node scheduler bit-for-bit, work stealing never lets any node
-//! exceed its MCDRAM budget, and the virtual-time and real-thread host
-//! dispatchers make identical canonical decisions on the demo batch.
+//! Property tests for the fleet dispatcher: a fleet of one (single-node
+//! serving) is unaffected by placement policy and stealing, work stealing
+//! never lets any node exceed its MCDRAM budget, and the virtual-time and
+//! real-thread host dispatchers make identical canonical decisions on the
+//! demo batch.
 
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::{MemLevel, GIB};
@@ -12,9 +13,7 @@ use mlm_fleet::{
     placement_sequence, Decision, FleetConfig, FleetHostConfig, FleetHostJob, FleetJob,
     FleetTraceConfig, PlacementPolicy,
 };
-use mlm_serve::{
-    heavy_tailed_trace, serve, DeadlineClass, JobRequest, Policy, ServeConfig, TraceConfig,
-};
+use mlm_serve::{heavy_tailed_trace, DeadlineClass, JobRequest, Policy, TraceConfig};
 use proptest::prelude::*;
 
 fn machine() -> MachineConfig {
@@ -40,54 +39,52 @@ fn any_placement_policy() -> impl Strategy<Value = PlacementPolicy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A 1-node fleet is `serve`: whatever the trace, queueing policy,
-    /// budget, spill flag, and placement policy, the dispatcher drives
-    /// the same `NodeSim` state machine through the same operations, so
-    /// records and rejections are bit-identical. (`serve` submits every
-    /// job non-strict, so the fleet jobs are non-strict here too.)
+    /// A 1-node fleet is single-node serving: placement has one candidate
+    /// and stealing has no donor, so whatever the trace, queueing policy,
+    /// budget and spill flag, every placement policy and both steal
+    /// settings produce bit-identical records, rejections and high-water
+    /// marks.
     #[test]
-    fn one_node_fleet_is_bit_identical_to_serve(
+    fn one_node_fleet_ignores_placement_and_stealing(
         seed in any::<u64>(),
         n_jobs in 1usize..30,
         rate in 0.5f64..6.0,
         policy in any_policy(),
-        placement in any_placement_policy(),
         budget_gib in 4u64..=16,
         spill in any::<bool>(),
-        steal in any::<bool>(),
     ) {
         let tc = TraceConfig::new(machine(), n_jobs, rate, seed);
-        let jobs = heavy_tailed_trace(&tc);
-
-        let mut serve_cfg = ServeConfig::new(machine());
-        serve_cfg.policy = policy;
-        serve_cfg.mcdram_budget = budget_gib * GIB;
-        serve_cfg.spill = spill;
-        let single = serve(&serve_cfg, &jobs).unwrap();
-
-        let mut fleet_cfg = FleetConfig::homogeneous(machine(), 1, budget_gib * GIB, spill);
-        fleet_cfg.policy = policy;
-        fleet_cfg.placement = placement;
-        fleet_cfg.steal = steal;
-        let fleet_jobs: Vec<FleetJob> = jobs
-            .iter()
-            .map(|req| FleetJob { req: req.clone(), strict: false, origin: 0 })
+        let jobs: Vec<FleetJob> = heavy_tailed_trace(&tc)
+            .into_iter()
+            .map(|req| FleetJob { req, strict: false, origin: 0 })
             .collect();
-        let fleet = fleet_serve(&fleet_cfg, &fleet_jobs).unwrap();
-
-        prop_assert_eq!(fleet.records.len(), single.records.len());
-        for (f, s) in fleet.records.iter().zip(&single.records) {
-            prop_assert_eq!(f.id, s.id);
-            prop_assert_eq!(f.buffer_level, s.buffer_level);
-            prop_assert_eq!(f.arrival.to_bits(), s.arrival.to_bits());
-            prop_assert_eq!(f.start.to_bits(), s.start.to_bits(), "job {} start", f.id);
-            prop_assert_eq!(f.finish.to_bits(), s.finish.to_bits(), "job {} finish", f.id);
+        let run = |placement: PlacementPolicy, steal: bool| {
+            let mut cfg = FleetConfig::homogeneous(machine(), 1, budget_gib * GIB, spill);
+            cfg.policy = policy;
+            cfg.placement = placement;
+            cfg.steal = steal;
+            fleet_serve(&cfg, &jobs).unwrap()
+        };
+        let base = run(PlacementPolicy::FirstFit, false);
+        prop_assert_eq!(base.records.len() + base.rejections.len(), jobs.len());
+        let base_rej: Vec<u64> = base.rejections.iter().map(|r| r.id).collect();
+        for placement in PlacementPolicy::ALL {
+            for steal in [false, true] {
+                let other = run(placement, steal);
+                prop_assert_eq!(other.records.len(), base.records.len());
+                for (o, b) in other.records.iter().zip(&base.records) {
+                    prop_assert_eq!(o.id, b.id);
+                    prop_assert_eq!(o.buffer_level, b.buffer_level);
+                    prop_assert_eq!(o.arrival.to_bits(), b.arrival.to_bits());
+                    prop_assert_eq!(o.start.to_bits(), b.start.to_bits(), "job {} start", o.id);
+                    prop_assert_eq!(o.finish.to_bits(), b.finish.to_bits(), "job {} finish", o.id);
+                }
+                let rej: Vec<u64> = other.rejections.iter().map(|r| r.id).collect();
+                prop_assert_eq!(&rej, &base_rej);
+                prop_assert_eq!(other.steals, 0, "a lone node has nobody to steal from");
+                prop_assert_eq!(other.fleet.mcdram_high_water, base.fleet.mcdram_high_water);
+            }
         }
-        let fleet_rej: Vec<u64> = fleet.rejections.iter().map(|r| r.id).collect();
-        let single_rej: Vec<u64> = single.rejections.iter().map(|r| r.id).collect();
-        prop_assert_eq!(fleet_rej, single_rej);
-        prop_assert_eq!(fleet.steals, 0, "a lone node has nobody to steal from");
-        prop_assert_eq!(fleet.fleet.mcdram_high_water, single.fleet.mcdram_high_water);
     }
 
     /// Work stealing is capacity-safe: across random heterogeneous

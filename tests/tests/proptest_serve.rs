@@ -1,19 +1,31 @@
 //! Property tests for the serving subsystem: admitted jobs always finish,
 //! the broker's ledger drains back to zero, and a single-job serve is the
-//! same pipeline the paper's single-tenant machinery runs.
+//! same pipeline the paper's single-tenant machinery runs. Single-node
+//! serving is a fleet of one with non-strict jobs.
 
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::{Simulator, GIB};
 use mlm_core::pipeline::sim::build_program;
 use mlm_core::{PipelineSpec, Placement, Workload};
+use mlm_fleet::{fleet_serve, FleetConfig, FleetJob};
 use mlm_serve::{
-    heavy_tailed_trace, profile, replay, serve, AdmitOutcome, CapacityBroker, DeadlineClass,
-    JobRequest, Policy, ScheduledJob, ServeConfig, TraceConfig,
+    heavy_tailed_trace, profile, replay, AdmitOutcome, CapacityBroker, DeadlineClass, JobRequest,
+    Policy, ScheduledJob, TraceConfig,
 };
 use proptest::prelude::*;
 
 fn machine() -> MachineConfig {
     MachineConfig::knl_7250(MemMode::Flat)
+}
+
+fn non_strict(jobs: &[JobRequest]) -> Vec<FleetJob> {
+    jobs.iter()
+        .map(|req| FleetJob {
+            req: req.clone(),
+            strict: false,
+            origin: 0,
+        })
+        .collect()
 }
 
 fn spec(total: u64, chunk: u64, passes: u32, placement: Placement) -> PipelineSpec {
@@ -63,11 +75,9 @@ proptest! {
     ) {
         let tc = TraceConfig::new(machine(), n_jobs, rate, seed);
         let jobs = heavy_tailed_trace(&tc);
-        let mut cfg = ServeConfig::new(machine());
+        let mut cfg = FleetConfig::homogeneous(machine(), 1, budget_gib * GIB, spill);
         cfg.policy = policy;
-        cfg.mcdram_budget = budget_gib * GIB;
-        cfg.spill = spill;
-        let out = serve(&cfg, &jobs).unwrap();
+        let out = fleet_serve(&cfg, &non_strict(&jobs)).unwrap();
         prop_assert_eq!(out.records.len() + out.rejections.len(), jobs.len());
         for r in &out.records {
             let j = jobs.iter().find(|j| j.id == r.id).unwrap();
@@ -94,10 +104,10 @@ proptest! {
         let mut held = Vec::new();
         for (chunk_gib, passes, placement) in requests {
             let s = spec(32 * GIB, chunk_gib * GIB, passes, placement);
-            if !broker.can_ever_fit(&s) {
+            if !broker.can_ever_fit(&s, true) {
                 continue;
             }
-            match broker.try_admit(&s).unwrap() {
+            match broker.try_admit(&s, true).unwrap() {
                 AdmitOutcome::Admitted(Some(r)) => held.push(r),
                 AdmitOutcome::Admitted(None) | AdmitOutcome::Busy => {}
             }
@@ -135,10 +145,11 @@ proptest! {
         prop_assert_eq!(stats[0].makespan.to_bits(), direct.makespan.to_bits());
         // Job-level: alone on the node, the scheduler's finish time is the
         // model's dedicated-machine makespan.
-        let cfg = ServeConfig::new(machine());
-        let out = serve(&cfg, &[JobRequest::new(7, 0.0, DeadlineClass::Standard, s.clone())])
-            .unwrap();
-        let t0 = profile(&s, Placement::Hbw, &cfg.machine, cfg.machine.total_threads(), true)
+        let m = machine();
+        let cfg = FleetConfig::homogeneous(m.clone(), 1, m.addressable_mcdram(), false);
+        let job = JobRequest::new(7, 0.0, DeadlineClass::Standard, s.clone());
+        let out = fleet_serve(&cfg, &non_strict(&[job])).unwrap();
+        let t0 = profile(&s, Placement::Hbw, &m, m.total_threads(), true)
             .unwrap()
             .t0;
         prop_assert_eq!(out.records.len(), 1);

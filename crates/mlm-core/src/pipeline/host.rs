@@ -9,34 +9,32 @@
 //!
 //! The schedule itself — which chunk each stage touches when, and which
 //! buffer slot it occupies — is owned by [`mlm_exec::drive`]. This module
-//! only adapts the issued [`ChunkAction`]s to three execution strategies,
-//! selected by [`PipelineSpec::lockstep`] and [`Placement::Implicit`]:
+//! only interprets the issued [`ChunkAction`]s, with two backends:
 //!
-//! * **Lockstep** ([`HostLockstepBackend`], `lockstep: true`): actions
-//!   accumulate per step and run as one task batch on a single shared
-//!   [`WorkPool`] when the orchestrator closes the step barrier. This is
-//!   the paper's schedule, whose makespan the model's
-//!   `max(T_copy, T_comp)` term describes.
-//! * **Dataflow** ([`HostDataflowBackend`], `lockstep: false`): actions
-//!   are recorded per stage and replayed at `finish` by three persistent
-//!   stage pools ([`HostStagePools`]) running decoupled coordinator
-//!   threads connected by a three-slot buffer ring. A stage advances as
-//!   soon as *its* buffer dependency is satisfied
+//! * **The step executor** ([`HostStepBackend`]) runs batches of actions,
+//!   each as one `scoped` call on a single shared [`WorkPool`]. With
+//!   `spec.lockstep` a batch is one plan step, run when the orchestrator
+//!   closes the step barrier — the paper's schedule, whose makespan the
+//!   model's `max(T_copy, T_comp)` term describes. Without it every action
+//!   runs eagerly as it is issued: issue order is a topological order of
+//!   the plan's dependency edges, so outputs are bit-identical across
+//!   schedules by construction (overlap timing is the simulator's
+//!   experiment, not the host's). The spec says everything else:
+//!   [`Placement::Implicit`] computes in place on `out` and stages
+//!   nothing; [`PipelineSpec::ring_slots`] sets the ring depth (three for
+//!   map kernels, four for stencils); and [`PipelineSpec::buffers_per_slot`]
+//!   of one computes in place on the staged buffer, while two write a
+//!   separate output buffer, so the halo bytes a neighbouring stencil
+//!   compute still reads stay intact.
+//! * **Dataflow replay** ([`HostDataflowBackend`], map kernels with
+//!   `lockstep: false`): actions are recorded per stage and replayed at
+//!   `finish` by three persistent stage pools ([`HostStagePools`]) running
+//!   decoupled coordinator threads connected by a three-slot buffer ring.
+//!   A stage advances as soon as *its* buffer dependency is satisfied
 //!   (`Empty → Filled → Computed → Empty`), so a slow chunk in one stage
 //!   no longer stalls unrelated work in the others — realising exactly
 //!   the dependency edges [`mlm_exec::drive`] issues (and
 //!   [`super::sim::SimBackend`] lowers) for non-lockstep runs.
-//! * **Implicit** ([`HostImplicitBackend`]): no copy stages; each compute
-//!   action runs in place as it is issued.
-//!
-//! The stencil family ([`run_host_stencil`]) interprets the same plan IR
-//! with a deeper ring and split in/out buffers per slot (computing in
-//! place would corrupt the halo bytes neighbouring computes still read):
-//! lockstep batches each plan step on the shared pool exactly like the
-//! map family, while dataflow runs actions eagerly at issue order —
-//! issue order is a topological order of the plan's dependency edges, so
-//! outputs are bit-identical across schedules by construction (overlap
-//! timing is the simulator's experiment, not the host's).
 
 use std::any::Any;
 use std::panic::resume_unwind;
@@ -132,88 +130,246 @@ where
     T: Copy + Send + Sync,
     F: Fn(&mut [T], KernelCtx) + Send + Sync,
 {
-    assert_eq!(out.len(), data.len(), "out must match data length");
-    let start = Instant::now();
-    if data.is_empty() {
-        return HostRunStats {
-            elapsed: start.elapsed(),
-            ..HostRunStats::empty()
-        };
-    }
-    spec.validate().expect("invalid pipeline spec");
-    spec.validate_elem_size(std::mem::size_of::<T>())
-        .expect("invalid chunk geometry");
+    let Some(run) = HostRun::new(spec, data, out) else {
+        return HostRunStats::empty();
+    };
     assert_eq!(
         spec.workload,
         Workload::Map,
         "stencil workloads carry halo reads the map kernel shape cannot \
          express; use run_host_stencil"
     );
-
-    if spec.placement == Placement::Implicit {
-        return run_implicit(pool, spec, data, out, &kernel, start);
+    if spec.placement != Placement::Implicit && !spec.lockstep {
+        let pools = HostStagePools::for_spec(spec);
+        return run_host_pipeline_dataflow(&pools, spec, data, out, kernel);
     }
-    if spec.lockstep {
-        return run_lockstep(pool, spec, data, out, &kernel, start);
-    }
-    let pools = HostStagePools::for_spec(spec);
-    run_host_pipeline_dataflow(&pools, spec, data, out, kernel)
+    run_steps(pool, &run, data, out, 0, |_view, buf, ctx| kernel(buf, ctx))
 }
 
-/// Number of elements per chunk. Exact by construction:
-/// [`PipelineSpec::validate_elem_size`] has already rejected specs whose
-/// `chunk_bytes` is not a multiple of the element size, so host chunk
-/// boundaries coincide with the spec's (and the simulator's) byte
-/// boundaries.
-fn chunk_elems_for<T>(spec: &PipelineSpec) -> usize {
-    spec.chunk_bytes as usize / std::mem::size_of::<T>().max(1)
-}
-
-/// The spec the orchestrator is driven with: the caller's spec with
-/// `total_bytes` pinned to the slice actually being processed, so
-/// [`PipelineSpec::n_chunks`] agrees with the host-side element geometry.
-/// (Host runs size themselves from `data.len()`; `spec.total_bytes` is
-/// the *modeled* problem size and may legitimately differ.)
-fn host_spec<T>(spec: &PipelineSpec, len: usize) -> PipelineSpec {
-    PipelineSpec {
-        total_bytes: (len * std::mem::size_of::<T>()) as u64,
-        ..spec.clone()
-    }
-}
-
-/// Assemble a [`StageStats`] from a busy-nanosecond counter. Lockstep and
-/// implicit runs have no coordinator waits: blocking happens inside the
-/// shared pool's step barrier.
-fn stage_stats(threads: usize, busy: &AtomicU64) -> StageStats {
-    StageStats {
-        threads,
-        busy: Duration::from_nanos(busy.load(Ordering::Relaxed)),
-        wait: Duration::ZERO,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Implicit cache mode
-// ---------------------------------------------------------------------------
-
-/// Backend for implicit cache mode: the data already lives where it is
-/// computed on, so each issued compute action runs in place on `out`
-/// immediately; barriers are no-ops because execution is synchronous.
-struct HostImplicitBackend<'a, T, F> {
-    pool: &'a WorkPool,
-    out: &'a mut [T],
-    kernel: &'a F,
+/// What every host entry point derives from its arguments before driving
+/// the schedule.
+struct HostRun {
+    start: Instant,
+    /// The caller's spec with `total_bytes` pinned to the slice actually
+    /// being processed, so [`PipelineSpec::n_chunks`] agrees with the
+    /// host-side element geometry. (Host runs size themselves from
+    /// `data.len()`; `spec.total_bytes` is the *modeled* problem size and
+    /// may legitimately differ.)
+    espec: PipelineSpec,
+    /// Elements per chunk. Exact by construction:
+    /// [`PipelineSpec::validate_elem_size`] has already rejected specs
+    /// whose `chunk_bytes` is not a multiple of the element size, so host
+    /// chunk boundaries coincide with the spec's (and the simulator's)
+    /// byte boundaries.
     chunk_elems: usize,
-    busy_comp: AtomicU64,
+    n_chunks: usize,
 }
 
-impl<T, F> Backend for HostImplicitBackend<'_, T, F>
+impl HostRun {
+    /// The checks every entry point shares; `None` for an empty input,
+    /// which runs nothing.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != data.len()`, the spec fails validation, or
+    /// the chunk geometry is not a whole number of `T` elements.
+    fn new<T>(spec: &PipelineSpec, data: &[T], out: &[T]) -> Option<HostRun> {
+        assert_eq!(out.len(), data.len(), "out must match data length");
+        if data.is_empty() {
+            return None;
+        }
+        let start = Instant::now();
+        spec.validate().expect("invalid pipeline spec");
+        let elem = std::mem::size_of::<T>();
+        spec.validate_elem_size(elem)
+            .expect("invalid chunk geometry");
+        let chunk_elems = spec.chunk_bytes as usize / elem.max(1);
+        Some(HostRun {
+            start,
+            espec: PipelineSpec {
+                total_bytes: std::mem::size_of_val(data) as u64,
+                ..spec.clone()
+            },
+            chunk_elems,
+            n_chunks: data.len().div_ceil(chunk_elems).max(1),
+        })
+    }
+
+    /// The report of the finished run. Implicit runs take one step per
+    /// chunk; staged runs take `ring_slots() - 1` more to drain the ring.
+    fn stats(
+        &self,
+        copy_in: StageStats,
+        compute: StageStats,
+        copy_out: StageStats,
+    ) -> HostRunStats {
+        let steps = match self.espec.placement {
+            Placement::Implicit => self.n_chunks,
+            _ => self.n_chunks + self.espec.ring_slots() - 1,
+        };
+        HostRunStats {
+            chunks: self.n_chunks,
+            steps,
+            elapsed: self.start.elapsed(),
+            copy_in,
+            compute,
+            copy_out,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Step executor
+// ---------------------------------------------------------------------------
+
+/// Backend that runs each batch of issued actions as one `scoped` call on
+/// the shared pool: a whole step under lockstep (copy-in chunk `s`,
+/// compute and copy-out of earlier chunks genuinely overlap; the pool's
+/// own join is the step barrier), a single action at issue otherwise.
+///
+/// Mutably touched buffers (the copy-in destination, the compute target,
+/// the copy-out source) are taken out of their rings for the duration of
+/// a batch, so stencil computes can borrow the ring of staged inputs
+/// shared. The plan guarantees the taken slots are disjoint from the
+/// slots the same step reads: on the four-slot stencil ring, step `s`
+/// fills slot `s % 4` while compute on `s - 2` reads slots `(s - 3) % 4`,
+/// `(s - 2) % 4`, and `(s - 1) % 4`.
+struct HostStepBackend<'a, T, K> {
+    pool: &'a WorkPool,
+    data: &'a [T],
+    out: &'a mut [T],
+    kernel: &'a K,
+    chunk_elems: usize,
+    halo_elems: usize,
+    n_chunks: usize,
+    /// Staged input chunks, indexed by [`ChunkAction::slot`]. Map kernels
+    /// compute in place here.
+    in_bufs: Vec<Vec<T>>,
+    /// Computed output chunks, same indexing; used only by specs with two
+    /// buffers per slot.
+    out_bufs: Vec<Vec<T>>,
+    /// Actions issued since the last step barrier (lockstep only).
+    pending: Vec<ChunkAction>,
+    /// Busy nanoseconds of copy-in, compute and copy-out.
+    busy: [AtomicU64; 3],
+}
+
+impl<T, K> HostStepBackend<'_, T, K>
 where
     T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
+    K: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
 {
-    // Host execution is synchronous: ordering is realised by running the
-    // actions in issue order, so tokens carry no information.
+    /// The ring holding `stage`'s buffer: copy-in fills the staged ring;
+    /// compute writes, and copy-out reads, the output ring when the spec
+    /// splits each slot into two buffers and the staged ring otherwise.
+    fn ring(&mut self, stage: Stage, split: bool) -> &mut [Vec<T>] {
+        if split && stage != Stage::CopyIn {
+            &mut self.out_bufs
+        } else {
+            &mut self.in_bufs
+        }
+    }
+
+    fn run_batch(&mut self, spec: &PipelineSpec, actions: &[ChunkAction]) {
+        if actions.is_empty() {
+            return;
+        }
+        let implicit = spec.placement == Placement::Implicit;
+        let split = spec.buffers_per_slot() > 1;
+        let fill = self.data[0];
+        let chunk_elems = self.chunk_elems;
+        let data_len = self.data.len();
+        let range = |c: usize| (c * chunk_elems, ((c + 1) * chunk_elems).min(data_len));
+
+        // Take each action's buffer out of its ring, indexed by stage.
+        // Implicit placement stages nothing: compute writes `out` itself.
+        let mut taken: [Option<Vec<T>>; 3] = Default::default();
+        for a in actions.iter().filter(|_| !implicit) {
+            let mut buf = std::mem::take(&mut self.ring(a.stage, split)[a.slot]);
+            if a.stage == Stage::CopyIn || (a.stage == Stage::Compute && split) {
+                let (lo, hi) = range(a.chunk);
+                buf.clear();
+                buf.resize(hi - lo, fill);
+            }
+            let prev = taken[a.stage as usize].replace(buf);
+            assert!(prev.is_none(), "one {:?} per batch", a.stage);
+        }
+
+        // The window of `out` this batch writes (the copy-out destination,
+        // or the implicit compute target), carved up front.
+        let mut out_win: Option<&mut [T]> = actions
+            .iter()
+            .find(|a| implicit || a.stage == Stage::CopyOut)
+            .map(|a| {
+                let (lo, hi) = range(a.chunk);
+                &mut self.out[lo..hi]
+            });
+
+        let in_bufs = &self.in_bufs;
+        let [busy_in, busy_comp, busy_out] = &self.busy;
+        let [in_dst, comp_dst, out_src] = &mut taken;
+        // Single-use handles on the taken buffers, so the task loop below
+        // borrows each exactly once.
+        let mut in_dst = in_dst.as_deref_mut();
+        let mut comp_dst = comp_dst.as_deref_mut();
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+        for a in actions {
+            let (lo, hi) = range(a.chunk);
+            match a.stage {
+                Stage::CopyIn => {
+                    let dst = in_dst.take().expect("taken above");
+                    push_timed_copy(&mut tasks, busy_in, spec.p_in, &self.data[lo..hi], dst);
+                }
+                Stage::Compute => {
+                    let dst = if implicit {
+                        out_win.take()
+                    } else {
+                        comp_dst.take()
+                    };
+                    let (left, mid, right) = if split {
+                        staged_view(in_bufs, a.chunk, self.halo_elems, self.n_chunks)
+                    } else {
+                        (&[][..], &[][..], &[][..])
+                    };
+                    debug_assert!(!split || mid.len() == hi - lo, "stale staged input");
+                    let kernel = self.kernel;
+                    push_compute(
+                        &mut tasks,
+                        Some(busy_comp),
+                        spec.p_comp,
+                        a.chunk,
+                        lo,
+                        dst.expect("taken above"),
+                        move |slice, ctx| kernel(StencilView { left, mid, right }, slice, ctx),
+                    );
+                }
+                Stage::CopyOut => {
+                    let src = out_src.as_deref().expect("taken above");
+                    let dst = out_win.take().expect("one copy-out per batch");
+                    push_timed_copy(&mut tasks, busy_out, spec.p_out, src, dst);
+                }
+            }
+        }
+
+        self.pool.scoped(tasks);
+
+        // Return the taken buffers to their ring slots.
+        for a in actions {
+            if let Some(buf) = taken[a.stage as usize].take() {
+                self.ring(a.stage, split)[a.slot] = buf;
+            }
+        }
+    }
+}
+
+impl<T, K> Backend for HostStepBackend<'_, T, K>
+where
+    T: Copy + Send + Sync,
+    K: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
+{
+    // Ordering is realised structurally: lockstep by step batching (every
+    // batch starts after the previous pool join), eager execution by
+    // running in issue order (a topological order of the plan's edges), so
+    // tokens carry no information.
     type Token = ();
 
     fn capabilities(&self) -> Capabilities {
@@ -224,244 +380,100 @@ where
     }
 
     fn issue(&mut self, spec: &PipelineSpec, action: ChunkAction, _deps: &[()]) {
-        debug_assert_eq!(action.stage, Stage::Compute, "implicit mode has no copies");
-        let c = action.chunk;
-        let lo = c * self.chunk_elems;
-        let hi = ((c + 1) * self.chunk_elems).min(self.out.len());
-        let chunk = &mut self.out[lo..hi];
-        let parts = spec.p_comp.min(chunk.len()).max(1);
-        let mut slices = Vec::with_capacity(parts);
-        let mut rest = chunk;
-        for t in 0..parts {
-            let (s, e) = split_range(hi - lo, parts, t);
-            let (head, tail) = rest.split_at_mut(e - s);
-            slices.push((t, s, head));
-            rest = tail;
+        if spec.lockstep {
+            self.pending.push(action);
+        } else {
+            self.run_batch(spec, &[action]);
         }
-        let busy = &self.busy_comp;
-        let kernel = self.kernel;
-        self.pool.scoped(slices.into_iter().map(|(t, s, slice)| {
-            let ctx = KernelCtx {
-                chunk: c,
-                thread: t,
-                global_offset: lo + s,
-            };
-            move || {
-                let t0 = Instant::now();
-                super::fault::maybe_panic_compute(ctx.chunk);
-                kernel(slice, ctx);
-                busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-        }));
-    }
-
-    fn step_barrier(&mut self, _spec: &PipelineSpec, _after: &[()]) {
-        // Chunks execute eagerly at issue; the per-chunk barrier is implied.
-    }
-}
-
-/// Implicit cache mode: one memcpy of the whole input (the data already
-/// lives where it is computed on), then all threads process chunks in
-/// place. There are no copy stages, so lockstep and dataflow coincide.
-fn run_implicit<T, F>(
-    pool: &WorkPool,
-    spec: &PipelineSpec,
-    data: &[T],
-    out: &mut [T],
-    kernel: &F,
-    start: Instant,
-) -> HostRunStats
-where
-    T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
-{
-    let chunk_elems = chunk_elems_for::<T>(spec);
-    let n_chunks = data.len().div_ceil(chunk_elems).max(1);
-    out.copy_from_slice(data);
-
-    let espec = host_spec::<T>(spec, data.len());
-    let mut backend = HostImplicitBackend {
-        pool,
-        out,
-        kernel,
-        chunk_elems,
-        busy_comp: AtomicU64::new(0),
-    };
-    drive(&mut backend, &espec).expect("host implicit backend refused the schedule");
-
-    HostRunStats {
-        chunks: n_chunks,
-        steps: n_chunks,
-        elapsed: start.elapsed(),
-        copy_in: StageStats::default(),
-        compute: stage_stats(spec.p_comp, &backend.busy_comp),
-        copy_out: StageStats::default(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lockstep schedule
-// ---------------------------------------------------------------------------
-
-/// Backend for the paper's lockstep schedule: issued actions accumulate
-/// into the current step's batch, and the orchestrator's step barrier runs
-/// the whole batch as one `scoped` call on the shared pool (copy-in chunk
-/// `s`, compute chunk `s-1`, copy-out chunk `s-2` genuinely overlap; the
-/// pool's own join is the step barrier).
-struct HostLockstepBackend<'a, T, F> {
-    pool: &'a WorkPool,
-    data: &'a [T],
-    out: &'a mut [T],
-    kernel: &'a F,
-    chunk_elems: usize,
-    /// The rotating chunk buffers, indexed by [`ChunkAction::slot`].
-    buffers: Vec<Vec<T>>,
-    /// Actions issued since the last step barrier.
-    pending: Vec<ChunkAction>,
-    busy_in: AtomicU64,
-    busy_comp: AtomicU64,
-    busy_out: AtomicU64,
-}
-
-impl<T, F> Backend for HostLockstepBackend<'_, T, F>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
-{
-    // Dependencies are realised by the step batching itself: everything in
-    // a batch starts after the previous barrier (the pool join), which is
-    // exactly the lockstep dep structure the orchestrator issues.
-    type Token = ();
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
-    fn issue(&mut self, _spec: &PipelineSpec, action: ChunkAction, _deps: &[()]) {
-        self.pending.push(action);
     }
 
     fn step_barrier(&mut self, spec: &PipelineSpec, _after: &[()]) {
         let actions = std::mem::take(&mut self.pending);
-
-        // Prepare copy-in destinations before fanning the batch out.
-        for a in &actions {
-            if a.stage == Stage::CopyIn {
-                let lo = a.chunk * self.chunk_elems;
-                let hi = ((a.chunk + 1) * self.chunk_elems).min(self.data.len());
-                let buf = &mut self.buffers[a.slot];
-                buf.clear();
-                buf.resize(hi - lo, self.data[0]);
-            }
-        }
-
-        // The copy-out destination window of `out`, carved out up front so
-        // the task loop below borrows each region exactly once.
-        let mut out_dst: Option<&mut [T]> = None;
-        if let Some(a) = actions.iter().find(|a| a.stage == Stage::CopyOut) {
-            let lo = a.chunk * self.chunk_elems;
-            let hi = (lo + self.chunk_elems).min(self.out.len());
-            out_dst = Some(&mut self.out[lo..hi]);
-        }
-
-        // At most one action per ring slot per step, so handing each slot's
-        // buffer to its action keeps the borrows disjoint.
-        let [b0, b1, b2] = &mut self.buffers[..] else {
-            unreachable!("the ring has exactly RING_SLOTS buffers");
-        };
-        let mut slot_bufs = [Some(b0), Some(b1), Some(b2)];
-
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for a in &actions {
-            let buf = slot_bufs[a.slot].take().expect("slot reused within a step");
-            match a.stage {
-                Stage::CopyIn => {
-                    let lo = a.chunk * self.chunk_elems;
-                    let hi = ((a.chunk + 1) * self.chunk_elems).min(self.data.len());
-                    push_timed_copy(
-                        &mut tasks,
-                        &self.busy_in,
-                        spec.p_in,
-                        &self.data[lo..hi],
-                        buf,
-                    );
-                }
-                Stage::Compute => {
-                    let lo = a.chunk * self.chunk_elems;
-                    let len = buf.len();
-                    let parts = spec.p_comp.min(len).max(1);
-                    let mut rest: &mut [T] = buf;
-                    for t in 0..parts {
-                        let (ss, se) = split_range(len, parts, t);
-                        let (head, tail) = rest.split_at_mut(se - ss);
-                        rest = tail;
-                        let ctx = KernelCtx {
-                            chunk: a.chunk,
-                            thread: t,
-                            global_offset: lo + ss,
-                        };
-                        let busy = &self.busy_comp;
-                        let kernel = self.kernel;
-                        tasks.push(Box::new(move || {
-                            let t0 = Instant::now();
-                            super::fault::maybe_panic_compute(ctx.chunk);
-                            kernel(head, ctx);
-                            busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }));
-                    }
-                }
-                Stage::CopyOut => {
-                    let dst = out_dst.take().expect("one copy-out per step");
-                    debug_assert_eq!(buf.len(), dst.len());
-                    push_timed_copy(&mut tasks, &self.busy_out, spec.p_out, buf, dst);
-                }
-            }
-        }
-
-        self.pool.scoped(tasks);
+        self.run_batch(spec, &actions);
     }
 }
 
-/// The paper's lockstep schedule: per step, one task batch on the shared
-/// pool, closed by the implicit barrier of `scoped`.
-fn run_lockstep<T, F>(
+/// The staged neighbourhood of chunk `c`: the last `halo` elements of
+/// chunk `c - 1`, chunk `c` itself, and the first up-to-`halo` elements of
+/// chunk `c + 1`, each empty past the grid boundary.
+fn staged_view<T>(
+    in_bufs: &[Vec<T>],
+    c: usize,
+    halo: usize,
+    n_chunks: usize,
+) -> (&[T], &[T], &[T]) {
+    let ring = in_bufs.len();
+    let left: &[T] = if c > 0 {
+        let prev = &in_bufs[(c - 1) % ring];
+        &prev[prev.len() - halo.min(prev.len())..]
+    } else {
+        &[]
+    };
+    let right: &[T] = if c + 1 < n_chunks {
+        let next = &in_bufs[(c + 1) % ring];
+        &next[..halo.min(next.len())]
+    } else {
+        &[]
+    };
+    (left, &in_bufs[c % ring], right)
+}
+
+/// Drive `run`'s spec over the step executor and report the run.
+/// Implicit placement first fills `out` from `data` (the data already
+/// lives where it is computed on) and stages nothing.
+fn run_steps<T, K>(
     pool: &WorkPool,
-    spec: &PipelineSpec,
+    run: &HostRun,
     data: &[T],
     out: &mut [T],
-    kernel: &F,
-    start: Instant,
+    halo_elems: usize,
+    kernel: K,
 ) -> HostRunStats
 where
     T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
+    K: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
 {
-    let chunk_elems = chunk_elems_for::<T>(spec);
-    let n_chunks = data.len().div_ceil(chunk_elems).max(1);
-
-    let espec = host_spec::<T>(spec, data.len());
-    let mut backend = HostLockstepBackend {
+    let spec = &run.espec;
+    let implicit = spec.placement == Placement::Implicit;
+    if implicit {
+        out.copy_from_slice(data);
+    }
+    let ring = spec.ring_slots();
+    let mut backend = HostStepBackend {
         pool,
         data,
         out,
-        kernel,
-        chunk_elems,
-        buffers: (0..RING_SLOTS).map(|_| Vec::new()).collect(),
+        kernel: &kernel,
+        chunk_elems: run.chunk_elems,
+        halo_elems,
+        n_chunks: run.n_chunks,
+        in_bufs: (0..ring).map(|_| Vec::new()).collect(),
+        out_bufs: (0..ring).map(|_| Vec::new()).collect(),
         pending: Vec::new(),
-        busy_in: AtomicU64::new(0),
-        busy_comp: AtomicU64::new(0),
-        busy_out: AtomicU64::new(0),
+        busy: Default::default(),
     };
-    drive(&mut backend, &espec).expect("host lockstep backend refused the schedule");
+    drive(&mut backend, spec).expect("host step executor refused the schedule");
 
-    HostRunStats {
-        chunks: n_chunks,
-        steps: n_chunks + 2,
-        elapsed: start.elapsed(),
-        copy_in: stage_stats(spec.p_in, &backend.busy_in),
-        compute: stage_stats(spec.p_comp, &backend.busy_comp),
-        copy_out: stage_stats(spec.p_out, &backend.busy_out),
-    }
+    // No coordinator waits: blocking happens inside the shared pool's join.
+    let stage = |threads, busy: &AtomicU64| StageStats {
+        threads,
+        busy: Duration::from_nanos(busy.load(Ordering::Relaxed)),
+        wait: Duration::ZERO,
+    };
+    // Implicit placement has no copy stages.
+    let copy = |threads, busy| {
+        if implicit {
+            StageStats::default()
+        } else {
+            stage(threads, busy)
+        }
+    };
+    let [busy_in, busy_comp, busy_out] = &backend.busy;
+    run.stats(
+        copy(spec.p_in, busy_in),
+        stage(spec.p_comp, busy_comp),
+        copy(spec.p_out, busy_out),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -507,12 +519,7 @@ where
     }
 
     fn issue(&mut self, _spec: &PipelineSpec, action: ChunkAction, _deps: &[()]) {
-        let stage = match action.stage {
-            Stage::CopyIn => 0,
-            Stage::Compute => 1,
-            Stage::CopyOut => 2,
-        };
-        self.schedule[stage].push(action);
+        self.schedule[action.stage as usize].push(action);
     }
 
     fn step_barrier(&mut self, _spec: &PipelineSpec, _after: &[()]) {
@@ -567,25 +574,10 @@ where
                 waited += slot.await_phase(Phase::Filled, a.chunk, poisoned);
                 // SAFETY: `Filled(c)` hands the buffer to the compute stage.
                 let buf = unsafe { slot.data_mut() };
+                // The stage pool accounts busy time itself.
+                let mut tasks = Vec::new();
                 let lo = a.chunk * chunk_elems;
-                let len = buf.len();
-                let parts = spec.p_comp.min(len).max(1);
-                let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(parts);
-                let mut rest: &mut [T] = buf;
-                for t in 0..parts {
-                    let (ss, se) = split_range(len, parts, t);
-                    let (head, tail) = rest.split_at_mut(se - ss);
-                    rest = tail;
-                    let ctx = KernelCtx {
-                        chunk: a.chunk,
-                        thread: t,
-                        global_offset: lo + ss,
-                    };
-                    tasks.push(Box::new(move || {
-                        super::fault::maybe_panic_compute(ctx.chunk);
-                        kernel(head, ctx)
-                    }));
-                }
+                push_compute(&mut tasks, None, spec.p_comp, a.chunk, lo, buf, kernel);
                 pools.compute.scoped(tasks);
                 slot.publish(Phase::Computed, a.chunk);
             }
@@ -682,47 +674,33 @@ where
         "stencil workloads carry halo reads the map kernel shape cannot \
          express; use run_host_stencil"
     );
-    let start = Instant::now();
-    if data.is_empty() {
-        return HostRunStats {
-            elapsed: start.elapsed(),
-            ..HostRunStats::empty()
-        };
-    }
-    spec.validate().expect("invalid pipeline spec");
-    spec.validate_elem_size(std::mem::size_of::<T>())
-        .expect("invalid chunk geometry");
+    let Some(mut run) = HostRun::new(spec, data, out) else {
+        return HostRunStats::empty();
+    };
     pools.reset();
 
-    let chunk_elems = chunk_elems_for::<T>(spec);
-    let n_chunks = data.len().div_ceil(chunk_elems).max(1);
-
-    let mut espec = host_spec::<T>(spec, data.len());
-    espec.lockstep = false;
+    run.espec.lockstep = false;
     let mut backend = HostDataflowBackend {
         pools,
         data,
         out: Some(out),
         kernel: &kernel,
-        chunk_elems,
+        chunk_elems: run.chunk_elems,
         schedule: [Vec::new(), Vec::new(), Vec::new()],
         waits: [Duration::ZERO; 3],
     };
-    drive(&mut backend, &espec).expect("host dataflow backend refused the schedule");
+    drive(&mut backend, &run.espec).expect("host dataflow backend refused the schedule");
 
     let stage = |pool: &StagePool, wait: Duration| StageStats {
         threads: pool.threads(),
         busy: pool.busy(),
         wait,
     };
-    HostRunStats {
-        chunks: n_chunks,
-        steps: n_chunks + 2,
-        elapsed: start.elapsed(),
-        copy_in: stage(&pools.copy_in, backend.waits[0]),
-        compute: stage(&pools.compute, backend.waits[1]),
-        copy_out: stage(&pools.copy_out, backend.waits[2]),
-    }
+    run.stats(
+        stage(&pools.copy_in, backend.waits[0]),
+        stage(&pools.compute, backend.waits[1]),
+        stage(&pools.copy_out, backend.waits[2]),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -749,201 +727,6 @@ pub struct StencilView<'a, T> {
     /// First up-to-`halo` elements of chunk `c + 1` (empty for the last
     /// chunk, shorter than `halo` when the grid ends inside the halo).
     pub right: &'a [T],
-}
-
-/// Backend for the stencil family: a four-slot ring of split in/out
-/// buffers. Lockstep accumulates each step's actions and runs them as one
-/// batch on the shared pool (the in-buffer being filled this step is
-/// never one of the three the step's compute reads — slot arithmetic on
-/// the four-slot ring keeps them disjoint). Dataflow executes each action
-/// eagerly at issue: the orchestrator issues in a topological order of
-/// the plan's halo/data/recycle edges, so every staged byte a compute
-/// reads has already landed.
-struct HostStencilBackend<'a, T, F> {
-    pool: &'a WorkPool,
-    data: &'a [T],
-    out: &'a mut [T],
-    kernel: &'a F,
-    chunk_elems: usize,
-    halo_elems: usize,
-    n_chunks: usize,
-    /// Staged input chunks, indexed by [`ChunkAction::slot`].
-    in_bufs: Vec<Vec<T>>,
-    /// Computed output chunks, same indexing.
-    out_bufs: Vec<Vec<T>>,
-    /// Actions issued since the last step barrier (lockstep only).
-    pending: Vec<ChunkAction>,
-    busy_in: AtomicU64,
-    busy_comp: AtomicU64,
-    busy_out: AtomicU64,
-}
-
-impl<T, F> HostStencilBackend<'_, T, F>
-where
-    T: Copy + Send + Sync,
-    F: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
-{
-    /// Run one batch of actions (a lockstep step, or a single eagerly
-    /// executed dataflow action) as one `scoped` call on the shared pool.
-    ///
-    /// Mutably touched buffers (the copy-in destination, the compute
-    /// output, the copy-out source) are taken out of the rings for the
-    /// duration of the batch so the compute tasks can borrow the ring of
-    /// staged inputs shared. The plan guarantees the taken slots are
-    /// disjoint from the slots the same step reads: on the four-slot ring,
-    /// step `s` fills slot `s % 4` while compute on `s - 2` reads slots
-    /// `(s - 3) % 4`, `(s - 2) % 4`, and `(s - 1) % 4`.
-    fn run_batch(&mut self, spec: &PipelineSpec, actions: &[ChunkAction]) {
-        if actions.is_empty() {
-            return;
-        }
-        let fill = self.data[0];
-        let chunk_elems = self.chunk_elems;
-        let data_len = self.data.len();
-        let range = |c: usize| (c * chunk_elems, ((c + 1) * chunk_elems).min(data_len));
-
-        // Take the mutably-owned buffers out of their rings.
-        let mut in_dst: Option<Vec<T>> = None;
-        let mut comp_dst: Option<Vec<T>> = None;
-        let mut out_src: Option<Vec<T>> = None;
-        for a in actions {
-            match a.stage {
-                Stage::CopyIn => {
-                    let (lo, hi) = range(a.chunk);
-                    let mut buf = std::mem::take(&mut self.in_bufs[a.slot]);
-                    buf.clear();
-                    buf.resize(hi - lo, fill);
-                    assert!(in_dst.replace(buf).is_none(), "one copy-in per batch");
-                }
-                Stage::Compute => {
-                    let (lo, hi) = range(a.chunk);
-                    let mut buf = std::mem::take(&mut self.out_bufs[a.slot]);
-                    buf.clear();
-                    buf.resize(hi - lo, fill);
-                    assert!(comp_dst.replace(buf).is_none(), "one compute per batch");
-                }
-                Stage::CopyOut => {
-                    let buf = std::mem::take(&mut self.out_bufs[a.slot]);
-                    assert!(out_src.replace(buf).is_none(), "one copy-out per batch");
-                }
-            }
-        }
-
-        // The copy-out destination window of `out`, carved up front.
-        let mut out_dst: Option<&mut [T]> = None;
-        if let Some(a) = actions.iter().find(|a| a.stage == Stage::CopyOut) {
-            let (lo, hi) = range(a.chunk);
-            out_dst = Some(&mut self.out[lo..hi]);
-        }
-
-        let in_bufs = &self.in_bufs;
-        // Single-use mutable handles on the taken buffers, so the task
-        // loop below borrows each exactly once.
-        let mut in_dst_ref = in_dst.as_mut();
-        let mut comp_dst_ref = comp_dst.as_mut();
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for a in actions {
-            match a.stage {
-                Stage::CopyIn => {
-                    let (lo, hi) = range(a.chunk);
-                    let dst = in_dst_ref.take().expect("taken above");
-                    push_timed_copy(
-                        &mut tasks,
-                        &self.busy_in,
-                        spec.p_in,
-                        &self.data[lo..hi],
-                        dst,
-                    );
-                }
-                Stage::Compute => {
-                    let c = a.chunk;
-                    let (lo, hi) = range(c);
-                    let halo = self.halo_elems;
-                    let left: &[T] = if c > 0 {
-                        let prev = &in_bufs[(c - 1) % in_bufs.len()];
-                        &prev[prev.len() - halo.min(prev.len())..]
-                    } else {
-                        &[]
-                    };
-                    let mid: &[T] = &in_bufs[c % in_bufs.len()];
-                    let right: &[T] = if c + 1 < self.n_chunks {
-                        let next = &in_bufs[(c + 1) % in_bufs.len()];
-                        &next[..halo.min(next.len())]
-                    } else {
-                        &[]
-                    };
-                    debug_assert_eq!(mid.len(), hi - lo, "stale staged input for chunk {c}");
-
-                    let len = hi - lo;
-                    let parts = spec.p_comp.min(len).max(1);
-                    let mut rest: &mut [T] = comp_dst_ref.take().expect("taken above");
-                    for t in 0..parts {
-                        let (ss, se) = split_range(len, parts, t);
-                        let (head, tail) = rest.split_at_mut(se - ss);
-                        rest = tail;
-                        let ctx = KernelCtx {
-                            chunk: c,
-                            thread: t,
-                            global_offset: lo + ss,
-                        };
-                        let busy = &self.busy_comp;
-                        let kernel = self.kernel;
-                        tasks.push(Box::new(move || {
-                            let t0 = Instant::now();
-                            super::fault::maybe_panic_compute(ctx.chunk);
-                            kernel(StencilView { left, mid, right }, head, ctx);
-                            busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }));
-                    }
-                }
-                Stage::CopyOut => {
-                    let src = out_src.as_ref().expect("taken above");
-                    let dst = out_dst.take().expect("one copy-out per batch");
-                    debug_assert_eq!(src.len(), dst.len());
-                    push_timed_copy(&mut tasks, &self.busy_out, spec.p_out, src, dst);
-                }
-            }
-        }
-
-        self.pool.scoped(tasks);
-
-        // Return the taken buffers to their ring slots.
-        for a in actions {
-            match a.stage {
-                Stage::CopyIn => self.in_bufs[a.slot] = in_dst.take().expect("taken above"),
-                Stage::Compute => self.out_bufs[a.slot] = comp_dst.take().expect("taken above"),
-                Stage::CopyOut => self.out_bufs[a.slot] = out_src.take().expect("taken above"),
-            }
-        }
-    }
-}
-
-impl<T, F> Backend for HostStencilBackend<'_, T, F>
-where
-    T: Copy + Send + Sync,
-    F: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
-{
-    // Ordering is realised structurally: lockstep by step batching,
-    // dataflow by executing in issue order (a topological order of the
-    // plan's edges), so tokens carry no information.
-    type Token = ();
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
-    fn issue(&mut self, spec: &PipelineSpec, action: ChunkAction, _deps: &[()]) {
-        if spec.lockstep {
-            self.pending.push(action);
-        } else {
-            self.run_batch(spec, &[action]);
-        }
-    }
-
-    fn step_barrier(&mut self, spec: &PipelineSpec, _after: &[()]) {
-        let actions = std::mem::take(&mut self.pending);
-        self.run_batch(spec, &actions);
-    }
 }
 
 /// Stream `data` through the out-of-core stencil pipeline, applying
@@ -979,56 +762,19 @@ where
     let Workload::Stencil { halo_bytes } = spec.workload else {
         panic!("run_host_stencil needs a stencil workload; use run_host_pipeline for map kernels");
     };
-    let start = Instant::now();
-    if data.is_empty() {
-        return HostRunStats {
-            elapsed: start.elapsed(),
-            ..HostRunStats::empty()
-        };
-    }
-    spec.validate().expect("invalid pipeline spec");
-    spec.validate_elem_size(std::mem::size_of::<T>())
-        .expect("invalid chunk geometry");
+    let Some(run) = HostRun::new(spec, data, out) else {
+        return HostRunStats::empty();
+    };
     let elem = std::mem::size_of::<T>().max(1) as u64;
     assert!(
         halo_bytes.is_multiple_of(elem),
         "halo_bytes = {halo_bytes} is not a whole number of {elem}-byte elements"
     );
-
-    let chunk_elems = chunk_elems_for::<T>(spec);
-    let n_chunks = data.len().div_ceil(chunk_elems).max(1);
-    let ring = spec.ring_slots();
-
-    let espec = host_spec::<T>(spec, data.len());
-    let mut backend = HostStencilBackend {
-        pool,
-        data,
-        out,
-        kernel: &kernel,
-        chunk_elems,
-        halo_elems: (halo_bytes / elem) as usize,
-        n_chunks,
-        in_bufs: (0..ring).map(|_| Vec::new()).collect(),
-        out_bufs: (0..ring).map(|_| Vec::new()).collect(),
-        pending: Vec::new(),
-        busy_in: AtomicU64::new(0),
-        busy_comp: AtomicU64::new(0),
-        busy_out: AtomicU64::new(0),
-    };
-    drive(&mut backend, &espec).expect("host stencil backend refused the schedule");
-
-    HostRunStats {
-        chunks: n_chunks,
-        steps: n_chunks + 3,
-        elapsed: start.elapsed(),
-        copy_in: stage_stats(spec.p_in, &backend.busy_in),
-        compute: stage_stats(spec.p_comp, &backend.busy_comp),
-        copy_out: stage_stats(spec.p_out, &backend.busy_out),
-    }
+    run_steps(pool, &run, data, out, (halo_bytes / elem) as usize, kernel)
 }
 
 /// Push `src → dst` copy tasks (split across up to `parts_max` workers)
-/// onto a lockstep step batch, crediting wall time to `busy`. The shared
+/// onto a step batch, crediting wall time to `busy`. The shared
 /// `WorkPool` is untimed, so the tasks time themselves — unlike the
 /// dataflow path, whose `StagePool`s account busy time in the pool.
 fn push_timed_copy<'t, T: Copy + Send + Sync>(
@@ -1050,6 +796,46 @@ fn push_timed_copy<'t, T: Copy + Send + Sync>(
             let t0 = Instant::now();
             head.copy_from_slice(s_slice);
             busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }));
+    }
+}
+
+/// Push the compute tasks of chunk `chunk` (whose first element is grid
+/// element `chunk_lo`): `dst` split across up to `parts_max` workers, each
+/// running `kernel` on its slice behind the fault-injection probe. With
+/// `busy`, each task credits its wall time there; stage pools account
+/// their own.
+fn push_compute<'t, T, K>(
+    tasks: &mut Vec<Box<dyn FnOnce() + Send + 't>>,
+    busy: Option<&'t AtomicU64>,
+    parts_max: usize,
+    chunk: usize,
+    chunk_lo: usize,
+    dst: &'t mut [T],
+    kernel: K,
+) where
+    T: Send,
+    K: Fn(&mut [T], KernelCtx) + Copy + Send + 't,
+{
+    let len = dst.len();
+    let parts = parts_max.min(len).max(1);
+    let mut rest = dst;
+    for t in 0..parts {
+        let (ss, se) = split_range(len, parts, t);
+        let (head, tail) = rest.split_at_mut(se - ss);
+        rest = tail;
+        let ctx = KernelCtx {
+            chunk,
+            thread: t,
+            global_offset: chunk_lo + ss,
+        };
+        tasks.push(Box::new(move || {
+            let t0 = Instant::now();
+            super::fault::maybe_panic_compute(chunk);
+            kernel(head, ctx);
+            if let Some(busy) = busy {
+                busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
         }));
     }
 }

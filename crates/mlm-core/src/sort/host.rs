@@ -170,28 +170,12 @@ pub fn mlm_sort<T: Ord + Copy + Send + Sync>(
     megachunk_elems: usize,
     explicit_copy: bool,
 ) -> HostSortStats {
-    let start = std::time::Instant::now();
-    let n = data.len();
-    assert!(megachunk_elems > 0, "megachunk must be positive");
-    if n < 2 {
-        return HostSortStats {
-            megachunks: n.min(1),
-            chunk_sorts: 0,
-            elapsed: start.elapsed(),
-        };
-    }
-    let structure = if explicit_copy {
-        SortStructure::Staged
+    let alg = if explicit_copy {
+        SortAlgorithm::MlmSort
     } else {
-        SortStructure::InPlace
+        SortAlgorithm::MlmImplicit
     };
-    let plan = plan_sort(
-        structure,
-        ChunkSortStyle::Serial,
-        n as u64,
-        megachunk_elems as u64,
-    );
-    run_sort_plan(pool, &plan, data)
+    run_host_sort(pool, alg, data, megachunk_elems)
 }
 
 /// The "basic algorithm" of §4: megachunks sorted with the *parallel*
@@ -201,23 +185,7 @@ pub fn basic_chunked_sort<T: Ord + Copy + Send + Sync>(
     data: &mut [T],
     megachunk_elems: usize,
 ) -> HostSortStats {
-    let start = std::time::Instant::now();
-    let n = data.len();
-    assert!(megachunk_elems > 0, "megachunk must be positive");
-    if n < 2 {
-        return HostSortStats {
-            megachunks: n.min(1),
-            chunk_sorts: 0,
-            elapsed: start.elapsed(),
-        };
-    }
-    let plan = plan_sort(
-        SortStructure::Staged,
-        ChunkSortStyle::Gnu,
-        n as u64,
-        megachunk_elems as u64,
-    );
-    run_sort_plan(pool, &plan, data)
+    run_host_sort(pool, SortAlgorithm::BasicChunked, data, megachunk_elems)
 }
 
 /// MLM-sort with double-buffered megachunks (the paper's §6 future work):
@@ -229,23 +197,7 @@ pub fn mlm_sort_buffered<T: Ord + Copy + Send + Sync>(
     data: &mut [T],
     megachunk_elems: usize,
 ) -> HostSortStats {
-    let start = std::time::Instant::now();
-    let n = data.len();
-    assert!(megachunk_elems > 0, "megachunk must be positive");
-    if n < 2 {
-        return HostSortStats {
-            megachunks: n.min(1),
-            chunk_sorts: 0,
-            elapsed: start.elapsed(),
-        };
-    }
-    let plan = plan_sort(
-        SortStructure::Buffered,
-        ChunkSortStyle::Serial,
-        n as u64,
-        megachunk_elems as u64,
-    );
-    run_sort_plan(pool, &plan, data)
+    run_host_sort(pool, SortAlgorithm::MlmSortBuffered, data, megachunk_elems)
 }
 
 /// The overlapped ([`SortStructure::Buffered`]) interpretation: run each

@@ -2,7 +2,7 @@
 //! was driven with.
 //!
 //! [`RecordingBackend`] composes — `RecordingBackend<SimBackend>` and
-//! `RecordingBackend<HostLockstepBackend>` produce comparable traces of
+//! `RecordingBackend<HostStepBackend>` produce comparable traces of
 //! the *same* orchestrator walk, which turns "the host executes the
 //! schedule the simulator prices" from folklore into a property test
 //! (see `tests/tests/exec_equivalence.rs`). It is also the seam future

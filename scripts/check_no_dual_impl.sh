@@ -24,8 +24,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Pairs allowed to omit direct mlm_exec references, with the reason:
-#   mlm-stream  — legacy streaming benchmark, pre-dates the layer (its
-#                 host/sim split is frozen; port tracked in ROADMAP.md)
+#   mlm-stream  — not a chunk schedule: host.rs measures STREAM bandwidth
+#                 natively (for `calibrate` and perfbench) and sim.rs
+#                 checks the simulated buses for table2.csv; the two share
+#                 no schedule that could be ported onto Backend
 #   mlm-cluster — rides the layer transitively: both sides call
 #                 mlm_core::sort, which interprets one mlm_exec SortPlan
 allow_dirs=(

@@ -12,7 +12,8 @@ use std::sync::Mutex;
 
 use mlm_core::pipeline::fault::{arm_compute_panic, disarm};
 use mlm_core::pipeline::host::{
-    run_host_pipeline, run_host_pipeline_dataflow, HostStagePools, KernelCtx,
+    run_host_pipeline, run_host_pipeline_dataflow, run_host_stencil, HostStagePools, KernelCtx,
+    StencilView,
 };
 use mlm_core::pipeline::{PipelineSpec, Placement, Workload};
 use parsort::pool::WorkPool;
@@ -39,6 +40,12 @@ fn spec(placement: Placement, lockstep: bool) -> PipelineSpec {
 
 fn negate(slice: &mut [i64], _ctx: KernelCtx) {
     slice.iter_mut().for_each(|x| *x = -*x);
+}
+
+/// Identity stencil: each output element is its staged input element.
+fn copy_mid(view: StencilView<'_, i64>, out: &mut [i64], ctx: KernelCtx) {
+    let l0 = ctx.global_offset - ctx.chunk * 100;
+    out.copy_from_slice(&view.mid[l0..l0 + out.len()]);
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -71,27 +78,42 @@ fn armed_panic_poisons_the_dataflow_ring() {
     assert_eq!(msg, "fuzz fault injection: kernel panic on chunk 3");
 }
 
-/// The same fault through the lockstep path: the step batch propagates
-/// the panic out of the shared pool's scoped join.
+/// The same fault through the step executor: the step batch (or, without
+/// lockstep, the eagerly run action) propagates the panic out of the
+/// shared pool's scoped join — for map kernels under lockstep, implicit
+/// placement under either schedule, and stencils under either schedule.
 #[test]
 fn armed_panic_propagates_through_lockstep() {
     let _guard = ARM_LOCK.lock().unwrap();
     let pool = WorkPool::new(4);
-    let s = spec(Placement::Hbw, true);
     let data: Vec<i64> = (0..600).collect();
-    let mut out = vec![0i64; 600];
+    let stencil = |lockstep| PipelineSpec {
+        workload: Workload::Stencil { halo_bytes: 8 * 4 },
+        ..spec(Placement::Hbw, lockstep)
+    };
+    let cases = [
+        ("map lockstep", spec(Placement::Hbw, true)),
+        ("implicit lockstep", spec(Placement::Implicit, true)),
+        ("implicit dataflow", spec(Placement::Implicit, false)),
+        ("stencil lockstep", stencil(true)),
+        ("stencil dataflow", stencil(false)),
+    ];
+    for (case, s) in cases {
+        let mut out = vec![0i64; 600];
 
-    arm_compute_panic(1);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        run_host_pipeline(&pool, &s, &data, &mut out, negate)
-    }));
-    disarm();
+        arm_compute_panic(1);
+        let result = catch_unwind(AssertUnwindSafe(|| match s.workload {
+            Workload::Map => run_host_pipeline(&pool, &s, &data, &mut out, negate),
+            Workload::Stencil { .. } => run_host_stencil(&pool, &s, &data, &mut out, copy_mid),
+        }));
+        disarm();
 
-    let payload = result.expect_err("armed kernel panic must propagate");
-    assert!(
-        panic_message(&*payload).contains("fuzz fault injection"),
-        "unexpected payload"
-    );
+        let payload = result.expect_err("armed kernel panic must propagate");
+        assert!(
+            panic_message(&*payload).contains("fuzz fault injection"),
+            "unexpected payload ({case})"
+        );
+    }
 }
 
 /// Disarming restores full correctness: the very pools/pipeline that just

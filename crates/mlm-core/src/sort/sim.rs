@@ -2,11 +2,12 @@
 //!
 //! The phase *sequence* of every variant — stage a megachunk, sort its
 //! chunks, merge the runs out, final k-way merge — is planned once by
-//! [`mlm_exec::plan_sort`] and shared with the host executor
-//! ([`super::host::run_sort_plan`]). This module owns only the per-variant
-//! *lowering* of each [`SortPhase`]: where the bytes live
-//! ([`DataPlace`]), which calibrated rate applies, and (for the buffered
-//! variant) which cross-megachunk dependencies overlap the phases.
+//! [`mlm_exec::plan_sort`], and the host walker (`super::host`) walks the
+//! same plan. This module walks the plan's nodes, decodes each with
+//! [`SortPlan::phase`], and owns only the per-variant *lowering* of each
+//! [`SortPhase`]: where the bytes live ([`DataPlace`]), which calibrated
+//! rate applies, and (for the buffered variant) how the plan's
+//! cross-megachunk edges become op dependencies.
 //! Compute rates come from [`Calibration`]; bandwidth contention, DDR
 //! saturation, and MCDRAM-cache behaviour then emerge from the
 //! [`knl_sim`] engine.
@@ -27,10 +28,7 @@
 
 use knl_sim::machine::MachineConfig;
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
-use mlm_exec::{
-    plan_sort, PlanKind, PlanNode, SortPhase, WorkloadPlan, SORT_KERNEL_FINAL_MERGE,
-    SORT_KERNEL_MERGE_RUNS, SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
-};
+use mlm_exec::{plan_sort, PlanKind, SortPhase, SortPlan, SortStructure};
 
 use super::SortAlgorithm;
 use crate::calibration::Calibration;
@@ -535,47 +533,6 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
     }
 }
 
-/// Recover the [`SortPhase`] a generic-IR node stands for, from its
-/// `(kind, chunk, kernel)` triple — the inverse of
-/// [`mlm_exec::SortPlan::to_workload_plan`]'s per-phase emission. This is
-/// what lets the sim walk the same [`WorkloadPlan`] the host executor and
-/// the graph verifier consume while keeping the per-variant phase
-/// emitters (and hence the emitted programs) byte-identical.
-fn node_phase(wplan: &WorkloadPlan, node: &PlanNode) -> SortPhase {
-    match (node.kind, node.chunk, node.kernel) {
-        (PlanKind::StageIn, Some(mega), _) => SortPhase::StageIn {
-            mega,
-            elems: node.len,
-        },
-        (PlanKind::Kernel, Some(mega), _) => SortPhase::ChunkSort {
-            mega,
-            elems: node.len,
-        },
-        (PlanKind::StageOut, Some(mega), Some(SORT_KERNEL_MERGE_RUNS)) => SortPhase::MergeRuns {
-            mega,
-            elems: node.len,
-        },
-        (PlanKind::StageOut, Some(mega), None) => SortPhase::CopyBack {
-            mega,
-            elems: node.len,
-        },
-        (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_SORT)) => {
-            SortPhase::ThreadSort { elems: node.len }
-        }
-        (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_MERGE)) => {
-            SortPhase::ThreadMerge { elems: node.len }
-        }
-        (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => SortPhase::FinalMerge {
-            elems: node.len,
-            k: wplan.chunks,
-        },
-        (PlanKind::StageOut, None, _) => SortPhase::FinalCopyBack { elems: node.len },
-        (kind, chunk, kernel) => {
-            unreachable!("sort plans never emit {kind:?}/{chunk:?}/{kernel:?}")
-        }
-    }
-}
-
 /// §2.4 (Li et al.): flat mode with `numactl --preferred` — the first
 /// `addressable_mcdram` bytes of the array live in MCDRAM, the spill in
 /// DDR; the unchunked GNU sort runs over the mix. Per-thread blocks are
@@ -659,16 +616,13 @@ fn numactl_mcdram_threads(b: &SortBuilder, lx: &Lowering) -> usize {
 /// Lower an overlapped ([`SortStructure::Buffered`]) plan: the §6
 /// future-work variant, where a small dedicated copy pool prefetches
 /// megachunk `m+1` while the compute pool sorts and merges megachunk `m`.
-/// The node set and every dependency come from the generic-IR lowering
-/// ([`mlm_exec::SortPlan::to_workload_plan`]): StageIn of megachunk `m`
-/// waits on MergeRuns of `m-2` (the Recycle edge of the 2-slot ring),
-/// ChunkSort on StageIn of its own megachunk, MergeRuns on ChunkSort (Data
-/// edges), and the final merge on every merge-out. Ops are emitted in
-/// per-megachunk phase order so each thread's program order — and hence
-/// the whole emitted program — is unchanged from the pre-IR lowering.
-///
-/// [`SortStructure::Buffered`]: mlm_exec::SortStructure::Buffered
-fn lower_buffered(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan) {
+/// The node set and every dependency come from [`plan_sort`]: StageIn of
+/// megachunk `m` waits on MergeRuns of `m-2` (the Recycle edge of the
+/// 2-slot ring), ChunkSort on StageIn of its own megachunk, MergeRuns on
+/// ChunkSort (Data edges), and the final merge on every merge-out. Ops are
+/// emitted in per-megachunk phase order, which fixes each thread's program
+/// order and hence the emitted program.
+fn lower_buffered(b: &mut SortBuilder, lx: &Lowering, plan: &SortPlan) {
     // A small dedicated pool prefetches megachunk m+1 while the rest
     // compute on m (the §5 lesson: copy threads are compute threads
     // forgone, so keep the pool small). The *prime* copy of megachunk 0
@@ -678,12 +632,12 @@ fn lower_buffered(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan) {
     let p_copy = BUFFERED_COPY_THREADS.min(threads.saturating_sub(1)).max(1);
     let p_comp = threads - p_copy;
     let comp0 = p_copy;
-    let k_megas = wplan.chunks;
+    let wplan = &plan.plan;
     let order = lx.order;
 
     // Ops realising each plan node, so edges resolve to op dependencies.
     let mut done: Vec<Vec<OpId>> = vec![Vec::new(); wplan.nodes.len()];
-    let emit_order: Vec<usize> = (0..k_megas)
+    let emit_order: Vec<usize> = (0..wplan.chunks)
         .flat_map(|m| {
             [
                 wplan.find(PlanKind::StageIn, m),
@@ -710,7 +664,7 @@ fn lower_buffered(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan) {
             .flat_map(|e| done[e.from].iter().copied())
             .collect();
         let mut ops: Vec<OpId> = Vec::new();
-        match node_phase(wplan, node) {
+        match plan.phase(i) {
             // Prefetch megachunk m; its Recycle edge says buffer (m % 2)
             // is free once megachunk m-2 has merged out.
             SortPhase::StageIn { mega: m, elems } => {
@@ -878,12 +832,16 @@ pub fn build_sort_program(
     if alg == SortAlgorithm::MlmSortBuffered && 2 * mega_bytes > machine.addressable_mcdram() {
         return Err("buffered MLM-sort needs megachunk <= MCDRAM/2".into());
     }
+    // Its copy pool takes at least one thread, and the compute pool needs
+    // another.
+    if alg == SortAlgorithm::MlmSortBuffered && threads < 2 {
+        return Err("buffered MLM-sort needs at least two threads".into());
+    }
     if alg == SortAlgorithm::BasicChunked && 2 * mega_bytes > machine.addressable_mcdram() {
         return Err("basic-chunked needs megachunk <= MCDRAM/2".into());
     }
 
     let plan = plan_sort(alg.structure(), alg.chunk_style(), w.n, megachunk_elems);
-    let wplan = plan.to_workload_plan();
     let lx = Lowering {
         alg,
         elem,
@@ -895,13 +853,13 @@ pub fn build_sort_program(
     };
 
     let mut b = SortBuilder::new(threads, cal, machine);
-    if plan.overlapped {
-        lower_buffered(&mut b, &lx, &wplan);
+    if plan.structure == SortStructure::Buffered {
+        lower_buffered(&mut b, &lx, &plan);
     } else {
-        // Sequential structures: one node per phase, Seq-chained — the
-        // generic walk reproduces the barrier-per-phase emission exactly.
-        for node in &wplan.nodes {
-            lower_phase(&mut b, &lx, &node_phase(&wplan, node));
+        // Sequential structures: one node per phase, Seq-chained, each
+        // lowered behind the previous phase's join.
+        for i in 0..plan.plan.nodes.len() {
+            lower_phase(&mut b, &lx, &plan.phase(i));
         }
     }
     Ok(b.prog)
@@ -961,6 +919,10 @@ mod tests {
         let w = SortWorkload::int64(100, InputOrder::Random);
         assert!(build_sort_program(&machine, &cal, w, SortAlgorithm::GnuFlat, 0, 256).is_err());
         assert!(build_sort_program(&machine, &cal, w, SortAlgorithm::GnuFlat, 10, 0).is_err());
+        // One thread leaves the buffered variant no compute pool.
+        assert!(
+            build_sort_program(&machine, &cal, w, SortAlgorithm::MlmSortBuffered, 10, 1).is_err()
+        );
     }
 
     /// The paper's headline (Fig. 6a, 2B random): MLM-sort and MLM-implicit

@@ -32,9 +32,11 @@
 //! * [`RecordingBackend`] — a composable wrapper that turns any backend
 //!   into an event-trace producer, making host ≡ sim equivalence a
 //!   property test instead of folklore;
-//! * [`SortPlan`] — the megachunk-level phase sequence of the §4 sort
-//!   algorithms, which [`SortPlan::to_workload_plan`] lowers onto the
-//!   generic IR for the sort host executor and sim lowering.
+//! * [`SortPlan`] — the megachunk-level plan of the §4 sort algorithms:
+//!   [`plan_sort`] builds its [`WorkloadPlan`] nodes and edges once, and
+//!   the sort host walker (`sort::host::run_sort_plan`) and the sim
+//!   lowering (`sort::sim`) both walk it, decoding each node with
+//!   [`SortPlan::phase`].
 //!
 //! Concrete backends live next to the machinery they adapt: the host
 //! adapters over `parsort::pool` in `mlm-core::pipeline::host`, the
@@ -70,9 +72,5 @@ pub use plan::{
 };
 pub use recording::{Event, NullBackend, RecordingBackend};
 pub use report::{RunReport, StageReport};
-pub use sortplan::{
-    mega_size, plan_sort, ChunkSortStyle, SortPhase, SortPlan, SortStructure,
-    SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
-    SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
-};
+pub use sortplan::{mega_size, plan_sort, ChunkSortStyle, SortPhase, SortPlan, SortStructure};
 pub use spec::{PipelineSpec, Workload};

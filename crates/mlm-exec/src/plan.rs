@@ -20,13 +20,13 @@
 //! Two producers lower into the IR: [`plan_pipeline`] builds the §3 chunk
 //! schedule for any [`Workload`] (the drive orchestrator is now "build the
 //! plan, interpret it over a [`Backend`]"), and
-//! [`SortPlan::to_workload_plan`](crate::sortplan::SortPlan::to_workload_plan)
-//! lowers the megachunk-level sort phases. Two generic interpreters
-//! consume it: [`interpret`] walks a chunk-level plan over any backend
-//! (host pools, simulator, recorders, the fuzzer), and [`waves`] groups a
-//! megachunk-level plan into maximal runs of mutually-independent nodes so
-//! host-style executors can run each wave as one task batch — which is
-//! exactly how the buffered sort overlaps its prefetch with compute.
+//! [`plan_sort`](crate::sortplan::plan_sort) builds the megachunk-level
+//! sort phases. Two generic interpreters consume it: [`interpret`] walks
+//! a chunk-level plan over any backend (host pools, simulator, recorders,
+//! the fuzzer), and [`waves`] groups a megachunk-level plan into maximal
+//! runs of mutually-independent nodes so host-style executors can run
+//! each wave as one task batch — which is exactly how the buffered sort
+//! overlaps its prefetch with compute.
 
 use crate::backend::{Backend, ChunkAction, Stage};
 use crate::error::DriveError;

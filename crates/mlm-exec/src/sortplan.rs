@@ -1,13 +1,14 @@
-//! The megachunk-level phase plan of the §4 sort algorithms.
+//! The megachunk-level plan of the §4 sort algorithms.
 //!
 //! Every Table-1 sort variant is a sequence of *phases* — stage a
 //! megachunk in, sort its chunks, merge the sorted runs out, and finally
 //! merge across megachunks — differing only in where the bytes live and
-//! which phases a variant needs. That sequence used to be spelled twice
-//! (once in `mlm-core::sort::host`, once in `sort::sim`); it is now
-//! planned here once, and the two executors interpret the same
-//! [`SortPlan`]: the host runs each phase on real threads and buffers,
-//! the sim lowers each phase to `knl-sim` ops with per-tier rates.
+//! which phases a variant needs. [`plan_sort`] builds that sequence once,
+//! as [`WorkloadPlan`] nodes and edges, and [`SortPlan::phase`] is the
+//! one decoder from a node back to its [`SortPhase`]. Two executors walk
+//! the same plan: `mlm-core`'s `sort::host::run_sort_plan` runs each
+//! phase on real threads and buffers, and `sort::sim` lowers each phase
+//! to `knl-sim` ops with per-tier rates.
 
 use serde::{Deserialize, Serialize};
 
@@ -27,8 +28,9 @@ pub enum SortStructure {
     /// sorted where they are, merged to scratch, and copied back.
     InPlace,
     /// Double-buffered megachunks (buffered MLM-sort, §6 future work):
-    /// the staged sequence with `overlapped` dependencies, so a small
-    /// copy pool prefetches megachunk `m+1` while `m` computes.
+    /// the staged sequence with overlapping dependencies over two ring
+    /// slots, so a small copy pool prefetches megachunk `m+1` while `m`
+    /// computes.
     Buffered,
 }
 
@@ -104,8 +106,9 @@ pub enum SortPhase {
     },
 }
 
-/// The full phase sequence of one sort run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The plan of one sort run: the megachunk geometry and the node/edge
+/// DAG both executors walk.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortPlan {
     /// The megachunk-level shape.
     pub structure: SortStructure,
@@ -115,220 +118,62 @@ pub struct SortPlan {
     pub n_elems: u64,
     /// Elements per megachunk, clamped to `n_elems`.
     pub mega_elems: u64,
-    /// Number of megachunks.
+    /// Number of megachunks; always `plan.chunks`.
     pub megachunks: usize,
-    /// `true` for [`SortStructure::Buffered`]: executors connect the
-    /// phases of consecutive megachunks by dataflow dependencies (double
-    /// buffering) instead of barriers.
-    pub overlapped: bool,
-    /// The phases, in execution (and issue) order.
-    pub phases: Vec<SortPhase>,
+    /// One node per phase, in issue order; [`SortPlan::phase`] decodes
+    /// each back into its [`SortPhase`]. Node `len` is in *elements*.
+    pub plan: WorkloadPlan,
 }
 
-/// Kernel-table index of the chunk-sort kernel in a lowered sort plan.
-pub const SORT_KERNEL_CHUNK_SORT: usize = 0;
-/// Kernel-table index of the run-merge (merge-out) kernel.
-pub const SORT_KERNEL_MERGE_RUNS: usize = 1;
-/// Kernel-table index of the per-thread block-sort kernel.
-pub const SORT_KERNEL_THREAD_SORT: usize = 2;
-/// Kernel-table index of the thread-count-way merge kernel.
-pub const SORT_KERNEL_THREAD_MERGE: usize = 3;
-/// Kernel-table index of the final k-way megachunk merge kernel.
-pub const SORT_KERNEL_FINAL_MERGE: usize = 4;
+// Kernel-table indices of the sort phases that carry a kernel. Only this
+// module reads them: executors match on [`SortPhase`] via
+// [`SortPlan::phase`].
+const SORT_KERNEL_CHUNK_SORT: usize = 0;
+const SORT_KERNEL_MERGE_RUNS: usize = 1;
+const SORT_KERNEL_THREAD_SORT: usize = 2;
+const SORT_KERNEL_THREAD_MERGE: usize = 3;
+const SORT_KERNEL_FINAL_MERGE: usize = 4;
+const KERNEL_NAMES: [&str; 5] = [
+    "chunk-sort",
+    "merge-runs",
+    "thread-sort",
+    "thread-merge",
+    "final-merge",
+];
 
 impl SortPlan {
-    /// Lower the megachunk phase sequence into the workload-generic
-    /// [`WorkloadPlan`] IR.
+    /// The phase node `i` of [`SortPlan::plan`] stands for.
     ///
-    /// Every phase becomes one node — [`SortPhase::StageIn`] a
-    /// [`PlanKind::StageIn`], [`SortPhase::ChunkSort`] a
-    /// [`PlanKind::Kernel`], [`SortPhase::MergeRuns`] a
-    /// [`PlanKind::StageOut`] *carrying* the merge kernel (the sort
-    /// family's drain transforms as it copies), [`SortPhase::CopyBack`] a
-    /// plain [`PlanKind::StageOut`], and the whole-array phases
-    /// ([`SortPhase::ThreadSort`], [`SortPhase::ThreadMerge`],
-    /// [`SortPhase::FinalMerge`], [`SortPhase::FinalCopyBack`]) global
-    /// nodes with `chunk: None`. Node `len` is in *elements*.
-    ///
-    /// Sequential structures chain every node to its predecessor with
-    /// [`EdgeKind::Seq`] — [`crate::plan::waves`] degenerates to one node
-    /// per wave, which is exactly the barrier-per-phase execution the
-    /// host and sim always had. The [`SortStructure::Buffered`] structure
-    /// instead emits the double-buffered dependency shape: megachunk `m`'s
-    /// stage-in waits only for the merge-out of `m - 2`
-    /// ([`EdgeKind::Recycle`] — its buffer's previous occupant), computes
-    /// wait on their own stage-in ([`EdgeKind::Data`]), merges wait on
-    /// their compute, so `waves` overlaps megachunk `m + 1`'s prefetch
-    /// with `m`'s sort.
-    pub fn to_workload_plan(&self) -> WorkloadPlan {
-        let kernels = [
-            "chunk-sort",
-            "merge-runs",
-            "thread-sort",
-            "thread-merge",
-            "final-merge",
-        ]
-        .iter()
-        .map(|name| KernelDesc {
-            name: (*name).to_string(),
-            passes: 1,
-            extra_read_bytes: 0,
-        })
-        .collect();
-        let mut plan = WorkloadPlan {
-            family: "sort",
-            ring_slots: if self.overlapped { 2 } else { 1 },
-            chunks: self.megachunks,
-            kernels,
-            nodes: Vec::new(),
-        };
-
-        if self.overlapped {
-            self.lower_overlapped(&mut plan);
-        } else {
-            self.lower_sequential(&mut plan);
-        }
-        debug_assert_eq!(plan.validate(), Ok(()));
-        plan
-    }
-
-    /// Sequential lowering: phases in order, each [`EdgeKind::Seq`]-chained
-    /// to its predecessor.
-    fn lower_sequential(&self, plan: &mut WorkloadPlan) {
-        for phase in &self.phases {
-            let (kind, chunk, kernel, len) = match *phase {
-                SortPhase::ThreadSort { elems } => {
-                    (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_SORT), elems)
-                }
-                SortPhase::ThreadMerge { elems } => (
-                    PlanKind::Kernel,
-                    None,
-                    Some(SORT_KERNEL_THREAD_MERGE),
-                    elems,
-                ),
-                SortPhase::StageIn { mega, elems } => (PlanKind::StageIn, Some(mega), None, elems),
-                SortPhase::ChunkSort { mega, elems } => (
-                    PlanKind::Kernel,
-                    Some(mega),
-                    Some(SORT_KERNEL_CHUNK_SORT),
-                    elems,
-                ),
-                SortPhase::MergeRuns { mega, elems } => (
-                    PlanKind::StageOut,
-                    Some(mega),
-                    Some(SORT_KERNEL_MERGE_RUNS),
-                    elems,
-                ),
-                SortPhase::CopyBack { mega, elems } => {
-                    (PlanKind::StageOut, Some(mega), None, elems)
-                }
-                SortPhase::FinalMerge { elems, .. } => {
-                    (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE), elems)
-                }
-                SortPhase::FinalCopyBack { elems } => (PlanKind::StageOut, None, None, elems),
-            };
-            let deps = match plan.nodes.len() {
-                0 => Vec::new(),
-                n => vec![PlanEdge::new(n - 1, EdgeKind::Seq)],
-            };
-            plan.nodes.push(PlanNode {
-                kind,
-                chunk,
-                slot: chunk.map_or(0, |m| m % plan.ring_slots),
-                kernel,
-                len,
-                deps,
-            });
-        }
-    }
-
-    /// Double-buffered lowering ([`SortStructure::Buffered`]): nodes in
-    /// pipeline-step order, `waves`-ready.
-    fn lower_overlapped(&self, plan: &mut WorkloadPlan) {
-        let n = self.megachunks;
-        let push = |plan: &mut WorkloadPlan,
-                    kind: PlanKind,
-                    mega: usize,
-                    kernel: Option<usize>,
-                    deps: Vec<PlanEdge>| {
-            plan.nodes.push(PlanNode {
-                kind,
-                chunk: Some(mega),
-                slot: mega % plan.ring_slots,
-                kernel,
-                len: mega_size(self.n_elems, self.mega_elems, mega),
-                deps,
-            });
-            plan.nodes.len() - 1
-        };
-        let mut stage_in: Vec<Option<usize>> = vec![None; n];
-        let mut chunk_sort: Vec<Option<usize>> = vec![None; n];
-        let mut merge_out: Vec<Option<usize>> = vec![None; n];
-
-        // Step `s`: merge out megachunk `s - 2` (freeing its buffer),
-        // chunk-sort `s - 1`, prefetch `s`. Within a step the merge-out is
-        // emitted first so the stage-in's Recycle edge points backward.
-        for s in 0..n + 2 {
-            if s >= 2 && s - 2 < n {
-                let m = s - 2;
-                merge_out[m] = Some(push(
-                    plan,
-                    PlanKind::StageOut,
-                    m,
-                    Some(SORT_KERNEL_MERGE_RUNS),
-                    vec![PlanEdge::new(
-                        chunk_sort[m].expect("sorted in an earlier step"),
-                        EdgeKind::Data,
-                    )],
-                ));
+    /// The encoding: [`SortPhase::StageIn`] is a [`PlanKind::StageIn`],
+    /// [`SortPhase::ChunkSort`] a [`PlanKind::Kernel`],
+    /// [`SortPhase::MergeRuns`] a [`PlanKind::StageOut`] *carrying* the
+    /// merge kernel (the sort family's drain transforms as it copies),
+    /// [`SortPhase::CopyBack`] a plain [`PlanKind::StageOut`], and the
+    /// whole-array phases global nodes with `chunk: None`.
+    pub fn phase(&self, i: usize) -> SortPhase {
+        let node = &self.plan.nodes[i];
+        let elems = node.len;
+        match (node.kind, node.chunk, node.kernel) {
+            (PlanKind::StageIn, Some(mega), _) => SortPhase::StageIn { mega, elems },
+            (PlanKind::Kernel, Some(mega), _) => SortPhase::ChunkSort { mega, elems },
+            (PlanKind::StageOut, Some(mega), Some(SORT_KERNEL_MERGE_RUNS)) => {
+                SortPhase::MergeRuns { mega, elems }
             }
-            if s >= 1 && s - 1 < n {
-                let m = s - 1;
-                chunk_sort[m] = Some(push(
-                    plan,
-                    PlanKind::Kernel,
-                    m,
-                    Some(SORT_KERNEL_CHUNK_SORT),
-                    vec![PlanEdge::new(
-                        stage_in[m].expect("staged in an earlier step"),
-                        EdgeKind::Data,
-                    )],
-                ));
+            (PlanKind::StageOut, Some(mega), _) => SortPhase::CopyBack { mega, elems },
+            (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_SORT)) => {
+                SortPhase::ThreadSort { elems }
             }
-            if s < n {
-                let deps = if s >= 2 {
-                    vec![PlanEdge::new(
-                        merge_out[s - 2].expect("merged out this step"),
-                        EdgeKind::Recycle,
-                    )]
-                } else {
-                    Vec::new()
-                };
-                stage_in[s] = Some(push(plan, PlanKind::StageIn, s, None, deps));
+            (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_MERGE)) => {
+                SortPhase::ThreadMerge { elems }
             }
-        }
-
-        if n > 1 {
-            let deps = merge_out
-                .iter()
-                .map(|i| PlanEdge::new(i.expect("every megachunk merged out"), EdgeKind::Data))
-                .collect();
-            plan.nodes.push(PlanNode {
-                kind: PlanKind::Kernel,
-                chunk: None,
-                slot: 0,
-                kernel: Some(SORT_KERNEL_FINAL_MERGE),
-                len: self.n_elems,
-                deps,
-            });
-            plan.nodes.push(PlanNode {
-                kind: PlanKind::StageOut,
-                chunk: None,
-                slot: 0,
-                kernel: None,
-                len: self.n_elems,
-                deps: vec![PlanEdge::new(plan.nodes.len() - 1, EdgeKind::Data)],
-            });
+            (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => SortPhase::FinalMerge {
+                elems,
+                k: self.megachunks,
+            },
+            (PlanKind::StageOut, None, _) => SortPhase::FinalCopyBack { elems },
+            (kind, chunk, kernel) => {
+                unreachable!("plan_sort never emits {kind:?}/{chunk:?}/{kernel:?}")
+            }
         }
     }
 }
@@ -340,60 +185,157 @@ pub fn mega_size(n: u64, mega_elems: u64, m: usize) -> u64 {
     mega_elems.min(n - lo.min(n))
 }
 
-/// Plan the phase sequence for one sort run.
+/// Append a node; a chunk-scoped node takes its megachunk's ring slot.
+fn push(
+    plan: &mut WorkloadPlan,
+    kind: PlanKind,
+    chunk: Option<usize>,
+    kernel: Option<usize>,
+    len: u64,
+    deps: Vec<PlanEdge>,
+) -> usize {
+    plan.nodes.push(PlanNode {
+        kind,
+        chunk,
+        slot: chunk.map_or(0, |m| m % plan.ring_slots),
+        kernel,
+        len,
+        deps,
+    });
+    plan.nodes.len() - 1
+}
+
+/// Append a node [`EdgeKind::Seq`]-chained to the previous one.
+fn push_seq(
+    plan: &mut WorkloadPlan,
+    kind: PlanKind,
+    chunk: Option<usize>,
+    kernel: Option<usize>,
+    len: u64,
+) -> usize {
+    let deps = plan
+        .nodes
+        .len()
+        .checked_sub(1)
+        .map(|prev| PlanEdge::new(prev, EdgeKind::Seq))
+        .into_iter()
+        .collect();
+    push(plan, kind, chunk, kernel, len, deps)
+}
+
+/// Plan one sort run.
 ///
 /// `n_elems` and `mega_elems` must be positive; `mega_elems` is clamped
 /// to `n_elems` (a megachunk larger than the data is the
 /// megachunk-equals-problem-size configuration of Table 1).
+///
+/// Sequential structures chain every node to its predecessor with
+/// [`EdgeKind::Seq`], so [`crate::plan::waves`] degenerates to one node
+/// per wave: barrier-per-phase execution. [`SortStructure::Buffered`]
+/// instead emits the double-buffered dependency shape over a 2-slot ring:
+/// megachunk `m`'s stage-in waits only for the merge-out of `m - 2`
+/// ([`EdgeKind::Recycle`] — its buffer's previous occupant), computes
+/// wait on their own stage-in ([`EdgeKind::Data`]), merges wait on their
+/// compute, so `waves` overlaps megachunk `m + 1`'s prefetch with `m`'s
+/// sort.
 pub fn plan_sort(
     structure: SortStructure,
     chunk_style: ChunkSortStyle,
     n_elems: u64,
     mega_elems: u64,
 ) -> SortPlan {
+    use PlanKind::{Kernel, StageIn, StageOut};
     assert!(n_elems > 0, "empty workload");
     assert!(mega_elems > 0, "megachunk must be positive");
     let mega_elems = mega_elems.min(n_elems);
     let megachunks = n_elems.div_ceil(mega_elems) as usize;
-    let mut phases = Vec::new();
+    let mut plan = WorkloadPlan {
+        family: "sort",
+        ring_slots: if structure == SortStructure::Buffered {
+            2
+        } else {
+            1
+        },
+        chunks: megachunks,
+        kernels: KERNEL_NAMES
+            .iter()
+            .map(|name| KernelDesc {
+                name: (*name).to_string(),
+                passes: 1,
+                extra_read_bytes: 0,
+            })
+            .collect(),
+        nodes: Vec::new(),
+    };
+    let elems = |m: usize| mega_size(n_elems, mega_elems, m);
+    let (sort, merge) = (Some(SORT_KERNEL_CHUNK_SORT), Some(SORT_KERNEL_MERGE_RUNS));
+    let final_merge = Some(SORT_KERNEL_FINAL_MERGE);
+    let p = &mut plan;
 
     match structure {
         SortStructure::Whole => {
-            phases.push(SortPhase::ThreadSort { elems: n_elems });
-            phases.push(SortPhase::ThreadMerge { elems: n_elems });
-            phases.push(SortPhase::FinalCopyBack { elems: n_elems });
+            push_seq(p, Kernel, None, Some(SORT_KERNEL_THREAD_SORT), n_elems);
+            push_seq(p, Kernel, None, Some(SORT_KERNEL_THREAD_MERGE), n_elems);
+            push_seq(p, StageOut, None, None, n_elems);
         }
-        SortStructure::Staged | SortStructure::Buffered => {
+        SortStructure::Staged | SortStructure::InPlace => {
+            let steps = if structure == SortStructure::Staged {
+                [(StageIn, None), (Kernel, sort), (StageOut, merge)]
+            } else {
+                [(Kernel, sort), (StageOut, merge), (StageOut, None)]
+            };
             for m in 0..megachunks {
-                let elems = mega_size(n_elems, mega_elems, m);
-                phases.push(SortPhase::StageIn { mega: m, elems });
-                phases.push(SortPhase::ChunkSort { mega: m, elems });
-                phases.push(SortPhase::MergeRuns { mega: m, elems });
+                for (kind, kernel) in steps {
+                    push_seq(p, kind, Some(m), kernel, elems(m));
+                }
             }
             if megachunks > 1 {
-                phases.push(SortPhase::FinalMerge {
-                    elems: n_elems,
-                    k: megachunks,
-                });
-                phases.push(SortPhase::FinalCopyBack { elems: n_elems });
+                push_seq(p, Kernel, None, final_merge, n_elems);
+                push_seq(p, StageOut, None, None, n_elems);
             }
         }
-        SortStructure::InPlace => {
-            for m in 0..megachunks {
-                let elems = mega_size(n_elems, mega_elems, m);
-                phases.push(SortPhase::ChunkSort { mega: m, elems });
-                phases.push(SortPhase::MergeRuns { mega: m, elems });
-                phases.push(SortPhase::CopyBack { mega: m, elems });
+        SortStructure::Buffered => {
+            let n = megachunks;
+            let mut stage_in = vec![0; n];
+            let mut chunk_sort = vec![0; n];
+            let mut merge_out = vec![0; n];
+            // Step `s`: merge out megachunk `s - 2` (freeing its buffer),
+            // chunk-sort `s - 1`, prefetch `s`. Within a step the merge-out
+            // is emitted first so the stage-in's Recycle edge points
+            // backward.
+            for s in 0..n + 2 {
+                if s >= 2 {
+                    let m = s - 2;
+                    let deps = vec![PlanEdge::new(chunk_sort[m], EdgeKind::Data)];
+                    merge_out[m] = push(p, StageOut, Some(m), merge, elems(m), deps);
+                }
+                if (1..=n).contains(&s) {
+                    let m = s - 1;
+                    let deps = vec![PlanEdge::new(stage_in[m], EdgeKind::Data)];
+                    chunk_sort[m] = push(p, Kernel, Some(m), sort, elems(m), deps);
+                }
+                if s < n {
+                    let deps = (s >= 2)
+                        .then(|| PlanEdge::new(merge_out[s - 2], EdgeKind::Recycle))
+                        .into_iter()
+                        .collect();
+                    stage_in[s] = push(p, StageIn, Some(s), None, elems(s), deps);
+                }
             }
-            if megachunks > 1 {
-                phases.push(SortPhase::FinalMerge {
-                    elems: n_elems,
-                    k: megachunks,
-                });
-                phases.push(SortPhase::FinalCopyBack { elems: n_elems });
+            if n > 1 {
+                let deps = merge_out
+                    .iter()
+                    .map(|&i| PlanEdge::new(i, EdgeKind::Data))
+                    .collect();
+                let fm = push(p, Kernel, None, final_merge, n_elems, deps);
+                let deps = vec![PlanEdge::new(fm, EdgeKind::Data)];
+                push(p, StageOut, None, None, n_elems, deps);
             }
         }
     }
+    debug_assert_eq!(plan.validate(), Ok(()));
+    debug_assert_eq!(plan.chunks, megachunks);
+    debug_assert_eq!(plan.ring_slots == 2, structure == SortStructure::Buffered);
 
     SortPlan {
         structure,
@@ -401,14 +343,18 @@ pub fn plan_sort(
         n_elems,
         mega_elems,
         megachunks,
-        overlapped: structure == SortStructure::Buffered,
-        phases,
+        plan,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every node of `p`, decoded back into its phase.
+    fn phases(p: &SortPlan) -> Vec<SortPhase> {
+        (0..p.plan.nodes.len()).map(|i| p.phase(i)).collect()
+    }
 
     #[test]
     fn mega_size_handles_ragged_tail() {
@@ -423,9 +369,9 @@ mod tests {
     fn staged_plan_covers_every_megachunk_then_merges() {
         let p = plan_sort(SortStructure::Staged, ChunkSortStyle::Serial, 10, 4);
         assert_eq!(p.megachunks, 3);
-        assert!(!p.overlapped);
-        let megas: Vec<usize> = p
-            .phases
+        assert_eq!(p.plan.ring_slots, 1);
+        let phases = phases(&p);
+        let megas: Vec<usize> = phases
             .iter()
             .filter_map(|ph| match ph {
                 SortPhase::ChunkSort { mega, .. } => Some(*mega),
@@ -434,11 +380,11 @@ mod tests {
             .collect();
         assert_eq!(megas, vec![0, 1, 2]);
         assert!(matches!(
-            p.phases[p.phases.len() - 2],
+            phases[phases.len() - 2],
             SortPhase::FinalMerge { k: 3, elems: 10 }
         ));
         assert!(matches!(
-            p.phases.last(),
+            phases.last(),
             Some(SortPhase::FinalCopyBack { elems: 10 })
         ));
     }
@@ -448,8 +394,7 @@ mod tests {
         let p = plan_sort(SortStructure::Staged, ChunkSortStyle::Serial, 10, 100);
         assert_eq!(p.megachunks, 1);
         assert_eq!(p.mega_elems, 10, "megachunk clamps to the data size");
-        assert!(!p
-            .phases
+        assert!(!phases(&p)
             .iter()
             .any(|ph| matches!(ph, SortPhase::FinalMerge { .. })));
     }
@@ -457,8 +402,7 @@ mod tests {
     #[test]
     fn in_place_plan_copies_back_per_megachunk() {
         let p = plan_sort(SortStructure::InPlace, ChunkSortStyle::Serial, 8, 4);
-        let kinds: Vec<&'static str> = p
-            .phases
+        let kinds: Vec<&'static str> = phases(&p)
             .iter()
             .map(|ph| match ph {
                 SortPhase::ChunkSort { .. } => "sort",
@@ -478,15 +422,18 @@ mod tests {
     #[test]
     fn whole_plan_is_three_phases() {
         let p = plan_sort(SortStructure::Whole, ChunkSortStyle::Gnu, 100, 7);
-        assert_eq!(p.phases.len(), 3);
+        assert_eq!(phases(&p).len(), 3);
     }
 
     #[test]
     fn buffered_plan_is_staged_and_overlapped() {
         let p = plan_sort(SortStructure::Buffered, ChunkSortStyle::Serial, 10, 4);
         let q = plan_sort(SortStructure::Staged, ChunkSortStyle::Serial, 10, 4);
-        assert!(p.overlapped);
-        assert_eq!(p.phases, q.phases);
+        assert_eq!(p.plan.ring_slots, 2);
+        // The same phases as the staged plan, in pipeline-step order.
+        let (bp, sp) = (phases(&p), phases(&q));
+        assert_eq!(bp.len(), sp.len());
+        assert!(sp.iter().all(|ph| bp.contains(ph)));
     }
 
     #[test]
@@ -497,17 +444,18 @@ mod tests {
             SortStructure::InPlace,
         ] {
             let p = plan_sort(structure, ChunkSortStyle::Serial, 10, 4);
-            let w = p.to_workload_plan();
+            let w = &p.plan;
             w.validate().unwrap();
             assert_eq!(w.family, "sort");
-            assert_eq!(w.nodes.len(), p.phases.len(), "{structure:?}");
+            let phases = phases(&p);
+            assert_eq!(w.nodes.len(), phases.len(), "{structure:?}");
             // Strictly sequential: every node Seq-chains its predecessor,
             // so waves degenerate to one node each.
             assert!(
-                crate::plan::waves(&w).iter().all(|wave| wave.len() == 1),
+                crate::plan::waves(w).iter().all(|wave| wave.len() == 1),
                 "{structure:?}"
             );
-            for (node, phase) in w.nodes.iter().zip(&p.phases) {
+            for (node, phase) in w.nodes.iter().zip(&phases) {
                 let expect = match phase {
                     SortPhase::StageIn { .. } => (PlanKind::StageIn, None),
                     SortPhase::ChunkSort { .. } => (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)),
@@ -533,7 +481,7 @@ mod tests {
 
     #[test]
     fn whole_lowering_is_all_global_nodes() {
-        let w = plan_sort(SortStructure::Whole, ChunkSortStyle::Gnu, 100, 7).to_workload_plan();
+        let w = plan_sort(SortStructure::Whole, ChunkSortStyle::Gnu, 100, 7).plan;
         assert!(w.nodes.iter().all(|n| n.chunk.is_none()));
         assert_eq!(w.nodes.len(), 3);
     }
@@ -541,7 +489,7 @@ mod tests {
     #[test]
     fn buffered_lowering_overlaps_prefetch_with_compute() {
         let p = plan_sort(SortStructure::Buffered, ChunkSortStyle::Serial, 16, 4);
-        let w = p.to_workload_plan();
+        let w = p.plan;
         w.validate().unwrap();
         assert_eq!(w.ring_slots, 2);
 
@@ -600,7 +548,7 @@ mod tests {
 
     #[test]
     fn single_megachunk_buffered_lowering_has_no_final_pair() {
-        let w = plan_sort(SortStructure::Buffered, ChunkSortStyle::Serial, 4, 8).to_workload_plan();
+        let w = plan_sort(SortStructure::Buffered, ChunkSortStyle::Serial, 4, 8).plan;
         w.validate().unwrap();
         assert_eq!(w.nodes.len(), 3);
         assert!(w.nodes.iter().all(|n| n.chunk == Some(0)));

@@ -94,7 +94,7 @@ done
 # Second discipline, since the plan layer went workload-generic: the
 # WorkloadPlan IR has exactly one home. Workload families add a lowering
 # inside crates/mlm-exec/src (plan_pipeline for pipeline shapes,
-# SortPlan::to_workload_plan for the sort family, the fuzzer's buggy
+# plan_sort for the sort family, the fuzzer's buggy
 # constructions for regression seeds); every other crate only *consumes*
 # plans — walking nodes, matching on PlanKind — never assembles them.
 # A `PlanNode {` literal outside mlm-exec is a workload module growing a
@@ -106,7 +106,7 @@ if [ -n "$producers" ]; then
   for f in $producers; do
     echo "error: ${f} constructs WorkloadPlan nodes outside the plan layer" >&2
     echo "       add the workload's lowering in crates/mlm-exec/src (see plan_pipeline" >&2
-    echo "       and SortPlan::to_workload_plan) so the verifier and fuzzer cover it" >&2
+    echo "       and plan_sort) so the verifier and fuzzer cover it" >&2
   done
   fail=1
 fi

@@ -8,7 +8,8 @@ use mlm_core::pipeline::host::{
     run_host_pipeline, run_host_pipeline_dataflow, HostStagePools, KernelCtx,
 };
 use mlm_core::pipeline::{PipelineSpec, Placement, Workload};
-use mlm_core::sort::host::mlm_sort;
+use mlm_core::sort::host::run_host_sort;
+use mlm_core::sort::SortAlgorithm;
 use parsort::pool::WorkPool;
 use proptest::prelude::*;
 
@@ -40,6 +41,19 @@ fn host_spec(n_elems: usize, chunk_elems: usize, p: (usize, usize, usize)) -> Pi
     }
 }
 
+/// Every host sort variant: whole-array, staged (serial and GNU chunk
+/// sorts), in-place and buffered plans.
+const ALL_SORTS: [SortAlgorithm; 8] = [
+    SortAlgorithm::GnuFlat,
+    SortAlgorithm::GnuCache,
+    SortAlgorithm::MlmDdr,
+    SortAlgorithm::MlmSort,
+    SortAlgorithm::MlmImplicit,
+    SortAlgorithm::BasicChunked,
+    SortAlgorithm::GnuNumactl,
+    SortAlgorithm::MlmSortBuffered,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -47,13 +61,13 @@ proptest! {
     fn mlm_sort_equals_std_sort(
         mut data in proptest::collection::vec(any::<i64>(), 0..5000),
         mega in 1usize..2000,
-        explicit in any::<bool>(),
+        alg in 0usize..ALL_SORTS.len(),
         threads in 1usize..6,
     ) {
         let pool = WorkPool::new(threads);
         let mut expect = data.clone();
         expect.sort_unstable();
-        mlm_sort(&pool, &mut data, mega, explicit);
+        run_host_sort(&pool, ALL_SORTS[alg], &mut data, mega);
         prop_assert_eq!(data, expect);
     }
 
